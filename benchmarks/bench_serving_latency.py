@@ -74,7 +74,11 @@ def image_pools():
 
 
 def _drain_run(plan, image_pools, trace, policy, workers):
-    """Submit the whole trace up front, then measure the parallel drain."""
+    """Start the workers, submit the whole trace, then measure the drain.
+
+    ``start()`` returns once every worker is ready, so per-request latency
+    never includes worker boot.
+    """
     generator = LoadGenerator.uniform(TASKS, rate=1000.0)  # trace passed explicitly
     runtime = ServingRuntime(
         plan,
@@ -83,10 +87,10 @@ def _drain_run(plan, image_pools, trace, policy, workers):
         max_wait=0.02,
         workers=workers,
     )
+    runtime.start()
     futures = generator.replay(
         runtime, image_pools, num_requests=len(trace), time_scale=0.0, trace=trace
     )
-    runtime.start()
     report = runtime.stop(drain=True)
     for future in futures:
         assert future is not None and future.done()
@@ -176,10 +180,10 @@ def test_thread_vs_process_scaling_table(smoke):
                 max_wait=0.02,
                 workers=workers,
             )
+            runtime.start()
             futures = generator.replay(
                 runtime, pools, num_requests=num_requests, time_scale=0.0, trace=trace
             )
-            runtime.start()
             report = runtime.stop(drain=True)
             for future in futures:
                 assert future is not None and future.done()

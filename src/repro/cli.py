@@ -242,8 +242,10 @@ def _bench_entry_header(args: argparse.Namespace) -> dict:
 def _serve_bench_runtime(args: argparse.Namespace) -> None:
     """``serve-bench --backend thread|process``: a serving-runtime drain.
 
-    Submits the whole mixed-task request stream up front and measures the
-    parallel drain through the chosen backend — the apples-to-apples
+    Starts the backend (which blocks until every worker is ready), then
+    submits the whole mixed-task request stream and measures the parallel
+    drain through the chosen backend, so reported latency never includes
+    worker boot — the apples-to-apples
     configuration the thread-vs-process scaling benchmark uses
     (``benchmarks/bench_serving_latency.py``).
     """
@@ -258,10 +260,10 @@ def _serve_bench_runtime(args: argparse.Namespace) -> None:
     runtime = build_runtime(args, plan, specialized)
     images = rng.normal(size=(args.requests, 3, args.input_size, args.input_size))
     tasks = [f"task{i % args.tasks}" for i in range(args.requests)]
+    runtime.start()
     futures = [
         runtime.submit(task, image) for task, image in zip(tasks, images)
     ]
-    runtime.start()
     schedule = start_chaos_schedule(args, runtime)
     metrics_server = start_metrics_server(args, runtime)
     try:

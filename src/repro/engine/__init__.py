@@ -67,7 +67,6 @@ from repro.engine.kernels import (
     apply_kernel_choices,
     autotune_kernel_variants,
     force_kernel_variant,
-    int8_datapath_beats_float,
     kernel_timing_key,
     packed_weight_panels,
     quantize_gemm,
@@ -75,7 +74,6 @@ from repro.engine.kernels import (
     set_kernel_variant,
     variant_candidates,
     winograd_tolerance,
-    winograd_weights,
 )
 from repro.engine.planspec import PlanSetSpec, PlanSpec, TaskSpec
 from repro.engine.specialize import (
@@ -138,7 +136,6 @@ __all__ = [
     "apply_kernel_choices",
     "autotune_kernel_variants",
     "force_kernel_variant",
-    "int8_datapath_beats_float",
     "kernel_timing_key",
     "packed_weight_panels",
     "quantize_gemm",
@@ -146,7 +143,6 @@ __all__ = [
     "set_kernel_variant",
     "variant_candidates",
     "winograd_tolerance",
-    "winograd_weights",
     "POLICIES",
     "SCHEDULING_MODES",
     "FifoDeadlinePolicy",

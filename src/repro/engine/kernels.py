@@ -39,17 +39,6 @@ Convolutions (``ConvGemmMaskKernel``)
     the per-pixel reduction is regrouped from ``(ky, kx, c)`` order into
     per-tap partial sums, so the contract is ULP-level (``allclose``), not
     bitwise.  Eligible for stride-1 layers (the dominant VGG shapes).
-  * ``"winograd"`` — F(2x2, 3x3) Winograd transform for stride-1 3x3 convs:
-    weights are pre-transformed once at plan build (:func:`winograd_weights`,
-    cached on the kernel), the input transform is tiled per cache block with
-    pure add/subtract combinations (``B``'s entries are 0/±1 — the only
-    multiplies are the 16 per-face tile GEMMs), and the inverse transform is
-    fused with the bias+threshold-mask epilogue per block.  Executes
-    ``16/36`` of the direct multiply count per output tile (2.25x fewer
-    MACs, reported as such by the traffic hook).  The transforms regroup
-    reductions beyond per-tap splitting, so the contract is a **declared
-    tolerance** (:func:`winograd_tolerance`) rather than ULP.  Falls back to
-    the other variants for stride>1 / non-3x3 shapes (not eligible).
   * ``"int8"`` — opt-in symmetric-quantized inference (see
     :class:`QuantizedGemm`): activations are quantized on the fly with a
     per-kernel scale calibrated from :class:`~repro.engine.calibrate.
@@ -60,23 +49,11 @@ Convolutions (``ConvGemmMaskKernel``)
     the epilogue dequantizes, adds the float bias and applies the threshold
     mask.  Accuracy contract: declared tolerance measured by the
     differential suite, not bit-exactness.
-  * ``"int8spd"`` — the genuine int8 *speed* datapath: the quantized weights
-    are additionally packed as contiguous ``int16`` rows
-    (``QuantizedGemm.weight_qi``), activations quantize into an ``int16``
-    panel, and the inner product runs as a wide-integer ``np.einsum`` into
-    an ``int32`` accumulator with panel-bounded reduction depth
-    (:func:`_int8_accumulate`).  The integer accumulation is exact, the
-    dequant/guard-band-refinement/mask epilogue is shared with ``int8``, so
-    ``int8spd`` output is **bit-identical to ``int8``** — same declared
-    accuracy contract, different execution engine.  The chooser only offers
-    it when the host's integer matmul actually beats float32 BLAS
-    (:func:`int8_datapath_beats_float`, measured once per process).
 
 Fully-connected layers (``LinearMaskKernel``)
   ``"dense"`` (default, original path), ``"blocked"`` (row-blocked GEMM with
   the bias+mask epilogue fused per block — bit-identical), ``"packed"``
-  (blocked + panel-resident weights — bit-identical), ``"int8"``,
-  ``"int8spd"``.
+  (blocked + panel-resident weights — bit-identical), ``"int8"``.
 
 Max pooling (``MaxPoolKernel``)
   ``"reshape"`` (default, original path: reshape-reduce for aligned
@@ -129,9 +106,7 @@ __all__ = [
     "report_mask_stats",
     "record_variant_traffic",
     "winograd_tolerance",
-    "winograd_weights",
     "packed_weight_panels",
-    "int8_datapath_beats_float",
     "KernelTimingCache",
     "TIMING_CACHE",
     "kernel_timing_key",
@@ -145,13 +120,6 @@ _COLS_BLOCK_BYTES = 1 << 19
 #: Byte budget of one packed weight panel (columns of ``weight_t``).  256 KB
 #: leaves room in L2 for the im2col block panel streaming past it.
 _PACKED_PANEL_BYTES = 1 << 18
-
-#: Per-block scratch budget of the Winograd path (4 MB, L3-resident).  The
-#: face GEMMs touch one face at a time so they never need the whole block in
-#: L2, while the add/subtract transform passes are dispatch-bound: measured
-#: across the vgg_small conv shapes, blocks sized to this budget run the
-#: whole pipeline 1.4-2x faster than L2-sized blocks.
-_WINO_BLOCK_BYTES = 1 << 22
 
 #: Packed panel boundaries fall on multiples of this many columns.  BLAS
 #: micro-kernels partition the output into fixed-width column micro-tiles and
@@ -174,8 +142,8 @@ _PACKED_PANEL_LANES = 16
 #: cache block.
 _PACKED_PROBE_ROWS = (1, 8, 64, 256)
 
-CONV_VARIANTS = ("im2col", "blocked", "packed", "direct", "winograd", "int8", "int8spd")
-LINEAR_VARIANTS = ("dense", "blocked", "packed", "int8", "int8spd")
+CONV_VARIANTS = ("im2col", "blocked", "packed", "direct", "int8")
+LINEAR_VARIANTS = ("dense", "blocked", "packed", "int8")
 POOL_VARIANTS = ("reshape", "views")
 
 #: int8 symmetric quantization range (zero-point-free).
@@ -188,17 +156,6 @@ _QMAX = 127.0
 #: decisions are exact and quantization error cannot compound through the
 #: layer stack (see ``_refine_conv_int8``).
 _INT8_GUARD = 8.0
-
-#: Reduction-panel depth of the int8 speed path's integer accumulation.
-#: Each panel's int32 partial sums are bounded by ``4096 * 127**2 ~= 2**26``,
-#: far inside int32 range; deeper reductions accumulate panel by panel, so
-#: the wide-integer einsum is exact at any depth.
-_INT8SPD_PANEL_ROWS = 4096
-
-#: Cached verdict of the once-per-process int8 datapath probe
-#: (:func:`int8_datapath_beats_float`); ``None`` = not measured yet.  Tests
-#: monkeypatch this to force chooser eligibility deterministically.
-_INT8SPD_WINS: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------
@@ -347,32 +304,12 @@ def conv_variant_traffic(kernel, n: int, variant: str) -> tuple:
                 plane * c_in + plane * c_out + 2 * rows * c_out
             )
         return macs, nbytes
-    if variant == "winograd":
-        th, tw = (h_out + 1) // 2, (w_out + 1) // 2
-        tiles = n * th * tw
-        # 16 tile GEMMs over (tiles, c_in) x (c_in, c_out): 16 multiplies
-        # per 2x2 output tile where direct convolution spends 36 — the
-        # genuinely reduced multiply count is the whole point.
-        macs = 16 * tiles * c_in * c_out
-        hp, wp = 2 * th + 2, 2 * tw + 2
-        nbytes = (
-            input_bytes
-            + item * n * hp * wp * c_in  # zero-bordered tile plane
-            + 2 * item * 16 * tiles * (c_in + c_out)  # V and M faces, written + read
-            + item * 16 * c_in * c_out  # pre-transformed weights
-            + out_bytes
-            + mask_bytes
-        )
-        return macs, nbytes
     macs = rows * reduction * c_out
     # im2col/blocked/packed/int8: cols written once and re-read by the GEMM.
     cols_bytes = 2 * item * rows * reduction
     nbytes = input_bytes + cols_bytes + weight_bytes + out_bytes + mask_bytes
-    if variant in ("int8", "int8spd"):
+    if variant == "int8":
         nbytes += item * plane * c_in  # the extra quantize pass
-    if variant == "int8spd":
-        # int16 column panel + int32 accumulator replace the float cols/acc.
-        nbytes += (2 - item) * 2 * rows * reduction + (4 - item) * rows * c_out
     return macs, nbytes
 
 
@@ -384,10 +321,8 @@ def linear_variant_traffic(kernel, n: int, variant: str) -> tuple:
     nbytes = item * (n * reduction + reduction * width + n * width)
     if kernel.mask is not None:
         nbytes += 2 * n * width + item * n * width
-    if variant in ("int8", "int8spd"):
+    if variant == "int8":
         nbytes += item * n * reduction
-    if variant == "int8spd":
-        nbytes += (2 - item) * n * reduction + (4 - item) * n * width
     return macs, nbytes
 
 
@@ -603,230 +538,23 @@ def packed_weight_panels(kernel) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Winograd F(2x2, 3x3).
+# Declared float tolerance of the paths that are not bit-exact.
 # ---------------------------------------------------------------------------
-#: Weight-side Winograd transform ``G`` for F(2x2, 3x3) (``U = G g G^T``).
-#: Its entries are exact dyadic rationals, and the matching input/inverse
-#: transforms ``B^T``/``A^T`` contain only 0/±1 — applied below as explicit
-#: add/subtract combinations, so the only multiplies in the whole variant
-#: are the 16 per-face tile GEMMs.
-_WINO_G = np.array(
-    [[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 0.0, 1.0]]
-)
-
-
 def winograd_tolerance(dtype) -> Dict[str, float]:
-    """Declared numeric tolerance of the ``winograd`` variant, per dtype.
+    """Declared float tolerance of the paths that are not bit-exact, per dtype.
 
-    The Winograd transforms regroup each output's 9-tap reduction into
-    transformed-domain combinations, so outputs differ from the im2col
-    reduction by accumulated rounding — a few ULP of the arithmetic dtype
-    in practice.  These bounds are the *contract* the differential suite
-    enforces (``np.allclose(..., **winograd_tolerance(dtype))``), declared
-    with safety margin above the observed error rather than at it.
+    Paths that regroup a reduction — the ``direct`` variant's per-tap
+    partial sums for k>1, dead-channel-compacted specialized plans — differ
+    from the im2col reduction by accumulated rounding, a few ULP of the
+    arithmetic dtype in practice.  These bounds are the *contract* the
+    benchmark's correctness gate enforces on such plans
+    (``np.allclose(..., **winograd_tolerance(dtype))``), declared with
+    safety margin above the observed error rather than at it.  The name is
+    historical and kept for existing callers.
     """
     if np.dtype(dtype) == np.float64:
         return {"rtol": 1e-8, "atol": 1e-10}
     return {"rtol": 1e-3, "atol": 1e-5}
-
-
-def winograd_eligible(kernel) -> bool:
-    """F(2x2, 3x3) covers exactly the stride-1 3x3 conv shapes."""
-    return (
-        getattr(kernel, "kind", None) == "conv"
-        and kernel.kernel_size == 3
-        and kernel.stride == 1
-    )
-
-
-def winograd_weights(kernel) -> np.ndarray:
-    """The kernel's pre-transformed ``(16, C_in, C_out)`` Winograd weights.
-
-    ``U = G g G^T`` per (input, output) channel pair, computed once in
-    float64 then cast to the plan dtype and cached on the kernel — plan-
-    build-time state like the int8 payload, but derived: PlanSpec round-trips
-    rebuild it lazily on first run instead of serializing it.
-    """
-    cached = getattr(kernel, "wino", None)
-    if cached is not None:
-        return cached
-    reduction, c_out = kernel.weight_t.shape
-    c_in = reduction // 9
-    g = kernel.weight_t.reshape(3, 3, c_in, c_out).astype(np.float64)
-    u = np.einsum("ij,jkcf,lk->ilcf", _WINO_G, g, _WINO_G)
-    kernel.wino = np.ascontiguousarray(
-        u.reshape(16, c_in, c_out).astype(kernel.weight_t.dtype)
-    )
-    return kernel.wino
-
-
-def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
-    """F(2x2, 3x3) Winograd conv with the fused bias+mask epilogue per block.
-
-    Pipeline per cache block of images: input-transform (``V = B^T d B``) as
-    four whole-plane row passes followed by four strided column passes per
-    row plane — overlapping 4x4 tiles are never gathered, every pass keeps a
-    long contiguous inner axis — run the 16 tile GEMMs as one batched matmul
-    against the cached pre-transformed weights (:func:`winograd_weights`),
-    inverse-transform (``Y = A^T M A``, adds again), scatter the 2x2 output
-    tiles, then apply the same bias + threshold-mask + survival-count
-    epilogue as the blocked path while the block is cache-hot.
-
-    The zero border of the tile plane serves double duty: conv padding and
-    the remainder column/row of odd output dims (partial tiles compute into
-    the border and are cropped at scatter time).  Numeric contract:
-    :func:`winograd_tolerance`.
-    """
-    n = x.shape[0]
-    c_in, h, w = kernel.in_shape
-    c_out, h_out, w_out = kernel.out_shape
-    p = kernel.padding
-    dtype = kernel.weight_t.dtype
-    u = winograd_weights(kernel)
-    th, tw = (h_out + 1) // 2, (w_out + 1) // 2
-    hp, wp = 2 * th + 2, 2 * tw + 2
-    spi = h_out * w_out
-    tiles = th * tw
-
-    if p == 0 and hp == h and wp == w and x.flags["C_CONTIGUOUS"]:
-        src = x
-    else:
-        src = ws.get(kernel.uid, "wpad", n, (n, hp, wp, c_in), dtype)
-        src[:, p : p + h, p : p + w, :] = x
-
-    # Block sizing: unlike the column-panel GEMMs, the 16 face GEMMs stream
-    # one (pb, c_in) face at a time, so only a face pair needs to be
-    # cache-resident — the full V/M/inverse scratch can spill to L3.  Small
-    # blocks are actively harmful here (each transform pass is a cheap
-    # elementwise op whose fixed dispatch cost dominates on short rows), so
-    # the budget is a multiple of the GEMM panel budget.
-    per_image = tiles * (20 * c_in + 25 * c_out) * dtype.itemsize
-    budget = _WINO_BLOCK_BYTES
-    block = max(1, min(n, (budget + per_image // 2) // max(1, per_image)))
-
-    out = ws.get(kernel.uid, "out", n, (n * spi, c_out), dtype)
-    out4 = out.reshape(n, h_out, w_out, c_out)
-    # Column-parity split of the padded plane: padded column 2k + p lives at
-    # ``spl[:, :, p, k]``, so a tile-column tap ``c`` (plane column 2*tx + c)
-    # is the contiguous run ``spl[:, :, c & 1, (c >> 1) + tx]`` — both
-    # transform directions then read multi-KB contiguous chunks instead of
-    # stride-2 element pairs.
-    wt2 = tw + 1
-    spl = ws.get(kernel.uid, "wspl", block, (block, hp, 2, wt2, c_in), dtype)
-    rbuf = ws.get(kernel.uid, "wrow", block, (block, th, 2, wt2, c_in), dtype)
-    vbuf = ws.get(kernel.uid, "wv", block, (16, block * tiles, c_in), dtype)
-    mbuf = ws.get(kernel.uid, "wm", block, (16, block * tiles, c_out), dtype)
-    sbuf = ws.get(kernel.uid, "wsum", block, (2, 4, block * tiles, c_out), dtype)
-    ybuf = ws.get(kernel.uid, "wy", block, (block * tiles, c_out), dtype)
-
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
-    need_channels = (
-        recorder is not None and getattr(recorder, "record_channels", None) is not None
-    )
-    thresholds = mask = channel_live = None
-    live_total = 0
-    if kernel.mask is not None:
-        thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get(kernel.uid, "mask", n, (n, spi, c_out), np.bool_)
-        if need_channels:
-            channel_live = np.zeros(c_out, dtype=np.int64)
-
-    # B^T's rows as (op, minuend tap, subtrahend tap): the four combinations
-    # below applied along tile rows, then identically along tile columns.
-    combos = (
-        (np.subtract, 0, 2),
-        (np.add, 1, 2),
-        (np.subtract, 2, 1),
-        (np.subtract, 1, 3),
-    )
-    for b0 in range(0, n, block):
-        nb = min(n, b0 + block) - b0
-        pb = nb * tiles
-        s = src[b0 : b0 + nb]
-        sp = spl[:nb]
-        sp[:, :, 0] = s[:, :, 0::2]
-        sp[:, :, 1] = s[:, :, 1::2]
-        # Forward transform + face GEMMs, one B^T row plane at a time so
-        # each plane is consumed while still cache-hot.  Row pass: tile
-        # (ty, tx) reads plane rows 2*ty + {0..3}, so each B^T row is one
-        # strided whole-plane pass whose inner axis (a full plane row)
-        # stays contiguous — no per-tile 4x4 gather is ever materialised.
-        # Column pass: the same four combinations along the width; tap
-        # ``c`` addresses parity plane ``c & 1`` at offset ``c >> 1``.
-        # The plane's four face GEMMs then run as one batched matmul
-        # (numerically identical to separate GEMMs, faces are independent).
-        for i, (op, a, b) in enumerate(combos):
-            ri = rbuf[:nb]
-            op(sp[:, a : a + 2 * th : 2], sp[:, b : b + 2 * th : 2], out=ri)
-            for j, (cop, ca, cb) in enumerate(combos):
-                face = vbuf[4 * i + j, :pb].reshape(nb, th, tw, c_in)
-                cop(
-                    ri[:, :, ca & 1, (ca >> 1) : (ca >> 1) + tw],
-                    ri[:, :, cb & 1, (cb >> 1) : (cb >> 1) + tw],
-                    out=face,
-                )
-            np.matmul(
-                vbuf[4 * i : 4 * i + 4, :pb],
-                u[4 * i : 4 * i + 4],
-                out=mbuf[4 * i : 4 * i + 4, :pb],
-            )
-        # Inverse row transform A^T: s0 = M0 + M1 + M2, s1 = M1 - M2 - M3
-        # (face index t = 4*i + j; i is the tile row).
-        for j in range(4):
-            s0, s1 = sbuf[0, j, :pb], sbuf[1, j, :pb]
-            np.add(mbuf[j, :pb], mbuf[4 + j, :pb], out=s0)
-            s0 += mbuf[8 + j, :pb]
-            np.subtract(mbuf[4 + j, :pb], mbuf[8 + j, :pb], out=s1)
-            s1 -= mbuf[12 + j, :pb]
-        # Inverse column transform + scatter; partial edge tiles are cropped.
-        yflat = ybuf[:pb]
-        y = yflat.reshape(nb, th, tw, c_out)
-        for a in range(2):
-            rows_a = (h_out - a + 1) // 2
-            sa = sbuf[a]
-            for b in range(2):
-                cols_b = (w_out - b + 1) // 2
-                if b == 0:
-                    np.add(sa[0, :pb], sa[1, :pb], out=yflat)
-                    yflat += sa[2, :pb]
-                else:
-                    np.subtract(sa[1, :pb], sa[2, :pb], out=yflat)
-                    yflat -= sa[3, :pb]
-                out4[b0 : b0 + nb, a::2, b::2, :] = y[:, :rows_a, :cols_b]
-        tile = out[b0 * spi : (b0 + nb) * spi]
-        np.add(tile, kernel.bias, out=tile)
-        if kernel.mask is not None:
-            gemm = tile.reshape(nb, spi, c_out)
-            tile_mask = mask[b0 : b0 + nb]
-            # Same per-row threshold slicing as the blocked path (mixed-task
-            # batches ship an (n, spi, c) threshold gather).
-            per_row = thresholds.ndim == 3 and thresholds.shape[0] != 1
-            tile_thr = thresholds[b0 : b0 + nb] if per_row else thresholds
-            np.greater_equal(gemm, tile_thr, out=tile_mask)
-            gemm *= tile_mask
-            if channel_live is not None:
-                channel_live += tile_mask.sum(axis=(0, 1), dtype=np.int64)
-            elif survival_needed:
-                live_total += np.count_nonzero(tile_mask)
-
-    if ctx is not None:
-        ctx.effective_macs += n * spi * kernel.weight_t.shape[0] * c_out
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "winograd", *conv_variant_traffic(kernel, n, "winograd")
-    )
-    if kernel.mask is not None:
-        if survival_needed:
-            live = float(channel_live.sum()) if channel_live is not None else float(live_total)
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, spi,
-                channel_live, live, n * spi * c_out,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out.reshape(n, h_out, w_out, c_out)
 
 
 def run_conv_direct(kernel, x, task, ws, recorder, ctx):
@@ -902,8 +630,8 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
     spi = h_out * w_out
     weight_t = kernel.weight_t
     thresholds = task.thresholds[kernel.mask.slot]
-    # float64 accumulation: exact for the int-valued cols of both the float-
-    # container ("int8") and int16 ("int8spd") datapaths — same flagged set.
+    # float64 accumulation: exact for the int-valued cols whatever the
+    # container dtype of the quantized panel.
     row_sumsq = np.einsum("ij,ij->i", cols, cols, dtype=np.float64)
     w_sumsq = np.einsum("ij,ij->j", weight_t, weight_t)
     variance = (q.in_scale ** 2 / 12.0) * (
@@ -997,151 +725,6 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     return out.reshape(n, h_out, w_out, c_out)
 
 
-# ---------------------------------------------------------------------------
-# The genuine int8 speed datapath ("int8spd").
-# ---------------------------------------------------------------------------
-def int8_datapath_beats_float(
-    rows: int = 256, depth: int = 576, width: int = 64, repeats: int = 3
-) -> bool:
-    """Does this host's wide-integer matmul beat float32 BLAS?  Probed once.
-
-    ``int8spd`` only pays off where the integer einsum outruns the float
-    GEMM it replaces (it is a wash or worse on hosts whose BLAS saturates
-    memory bandwidth with float32 already).  The chooser consults this probe
-    — one representative GEMM shape, best-of-``repeats``, cached in
-    :data:`_INT8SPD_WINS` for the life of the process — so ineligible hosts
-    never even time the variant.  Plans *shipped* with ``int8spd`` choices
-    (via PlanSpec) still run it: eligibility gates choosing, not executing.
-    """
-    global _INT8SPD_WINS
-    if _INT8SPD_WINS is not None:
-        return _INT8SPD_WINS
-    rng = np.random.default_rng(0)
-    qa = rng.integers(-127, 128, size=(rows, depth), dtype=np.int16)
-    qb = rng.integers(-127, 128, size=(depth, width), dtype=np.int16)
-    acc = np.empty((rows, width), np.int32)
-    fa, fb = qa.astype(np.float32), qb.astype(np.float32)
-    fc = np.empty((rows, width), np.float32)
-    int_best = float_best = float("inf")
-    for _ in range(repeats + 1):  # round 0 doubles as warm-up
-        start = time.perf_counter()
-        np.einsum("ij,jk->ik", qa, qb, out=acc, dtype=np.int32, casting="unsafe")
-        int_best = min(int_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        np.matmul(fa, fb, out=fc)
-        float_best = min(float_best, time.perf_counter() - start)
-    _INT8SPD_WINS = bool(int_best < float_best)
-    return _INT8SPD_WINS
-
-
-def _int8_weight_qi(q) -> np.ndarray:
-    """The quant payload's contiguous int16 weight rows, derived if absent."""
-    wqi = getattr(q, "weight_qi", None)
-    if wqi is None:
-        # Plan rebuilt from a pre-v3 PlanSpec payload: derive the packed
-        # integer rows once from the float container (values are ±127 ints).
-        wqi = np.ascontiguousarray(q.weight_q.astype(np.int16))
-        q.weight_qi = wqi
-    return wqi
-
-
-def _int8_accumulate(qx: np.ndarray, wqi: np.ndarray, acc: np.ndarray) -> None:
-    """``acc[int32] = qx[int16] @ wqi[int16]`` — exact, panel-bounded depth."""
-    reduction = wqi.shape[0]
-    if reduction <= _INT8SPD_PANEL_ROWS:
-        np.einsum("ij,jk->ik", qx, wqi, out=acc, dtype=np.int32, casting="unsafe")
-        return
-    partial = np.empty_like(acc)
-    for k0 in range(0, reduction, _INT8SPD_PANEL_ROWS):
-        k1 = min(reduction, k0 + _INT8SPD_PANEL_ROWS)
-        target = acc if k0 == 0 else partial
-        np.einsum(
-            "ij,jk->ik", qx[:, k0:k1], wqi[k0:k1], out=target,
-            dtype=np.int32, casting="unsafe",
-        )
-        if k0:
-            acc += partial
-
-
-def _int8_dequantize(kernel, q, acc, out, ws, n, label="qacc"):
-    """Shared dequant epilogue: int32 accumulator → scaled float + bias.
-
-    Mirrors the float-container path's operation sequence exactly (same
-    wide-dtype staging, same multiply/cast order), which is what makes
-    ``int8spd`` bit-identical to ``int8``: both start from the same exact
-    integer accumulation and run the same float ops from there.
-    """
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    if acc_dtype == dtype:
-        out[:] = acc
-        np.multiply(out, q.scale, out=out)
-    else:
-        wide = ws.get(kernel.uid, label, n, out.shape, acc_dtype)
-        wide[:] = acc
-        np.multiply(wide, q.scale, out=wide)
-        out[:] = wide
-    np.add(out, kernel.bias, out=out)
-
-
-def run_conv_int8spd(kernel, x, task, ws, recorder, ctx):
-    """int8 conv on the integer datapath (bit-identical to ``"int8"``).
-
-    Same quantize → exact accumulation → dequantize → refine → mask pipeline
-    as :func:`run_conv_int8`, but the column panel is narrowed to contiguous
-    ``int16`` rows and the inner product runs as a wide-integer einsum into
-    an ``int32`` accumulator (:func:`_int8_accumulate`) instead of a float-
-    container GEMM.  Both accumulations are exact over the same integers and
-    the dequant/refine epilogue is shared, so outputs match bit for bit —
-    the variants differ only in which execution units do the work.
-    """
-    q = kernel.quant
-    if q is None:
-        raise RuntimeError(
-            f"kernel '{kernel.name}' has variant 'int8spd' but carries no quantized "
-            "weights; run quantize_plan_kernels first"
-        )
-    wqi = _int8_weight_qi(q)
-    n = x.shape[0]
-    c_in, h, w = kernel.in_shape
-    c_out, h_out, w_out = kernel.out_shape
-    k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    h2, w2 = h + 2 * p, w + 2 * p
-    # Quantize in a float plane (rint needs a float out), then narrow the
-    # whole plane to int16 — the layout the integer inner product streams.
-    qplane = ws.get(kernel.uid, "qpad", n, (n, h2, w2, c_in), acc_dtype)
-    interior = qplane[:, p : p + h, p : p + w, :]
-    np.divide(x, q.in_scale, out=interior)
-    np.rint(interior, out=interior)
-    np.clip(interior, -_QMAX, _QMAX, out=interior)
-    qiplane = ws.get(kernel.uid, "qipad", n, (n, h2, w2, c_in), np.int16)
-    np.copyto(qiplane, qplane, casting="unsafe")
-
-    spi = h_out * w_out
-    rows = n * spi
-    cols = ws.get(kernel.uid, "qicols", n, (rows, wqi.shape[0]), np.int16)
-    copy_window_strips(cols, qiplane, n, h_out, w_out, k, s, c_in)
-    acc = ws.get(kernel.uid, "qiacc", n, (rows, c_out), np.int32)
-    _int8_accumulate(cols, wqi, acc)
-    out = ws.get(kernel.uid, "out", n, (rows, c_out), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws, n)
-
-    if ctx is not None:
-        ctx.effective_macs += rows * wqi.shape[0] * c_out
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "int8spd", *conv_variant_traffic(kernel, n, "int8spd")
-    )
-    if kernel.mask is not None:
-        _refine_conv_int8(kernel, q, x, cols, out, task, ws, n)
-        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, ctx, spi)
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out.reshape(n, h_out, w_out, c_out)
-
-
 def run_conv_variant(kernel, x, task, ws, recorder, ctx):
     variant = kernel.variant
     if variant == "blocked":
@@ -1153,12 +736,8 @@ def run_conv_variant(kernel, x, task, ws, recorder, ctx):
         )
     if variant == "direct":
         return run_conv_direct(kernel, x, task, ws, recorder, ctx)
-    if variant == "winograd":
-        return run_conv_winograd(kernel, x, task, ws, recorder, ctx)
     if variant == "int8":
         return run_conv_int8(kernel, x, task, ws, recorder, ctx)
-    if variant == "int8spd":
-        return run_conv_int8spd(kernel, x, task, ws, recorder, ctx)
     raise ValueError(f"unknown conv variant '{variant}' on kernel '{kernel.name}'")
 
 
@@ -1289,45 +868,6 @@ def run_linear_int8(kernel, x, task, ws, recorder, ctx):
     return out
 
 
-def run_linear_int8spd(kernel, x, task, ws, recorder, ctx):
-    """int8 FC on the integer datapath (bit-identical to ``"int8"``).
-
-    FC counterpart of :func:`run_conv_int8spd`: int16 activation rows, wide-
-    integer accumulation, shared dequant/refine epilogue.
-    """
-    q = kernel.quant
-    if q is None:
-        raise RuntimeError(
-            f"kernel '{kernel.name}' has variant 'int8spd' but carries no quantized "
-            "weights; run quantize_plan_kernels first"
-        )
-    wqi = _int8_weight_qi(q)
-    n = x.shape[0]
-    reduction, width = wqi.shape
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    qf = ws.get(kernel.uid, "qin", n, (n, reduction), acc_dtype)
-    np.divide(x, q.in_scale, out=qf)
-    np.rint(qf, out=qf)
-    np.clip(qf, -_QMAX, _QMAX, out=qf)
-    qx = ws.get(kernel.uid, "qiin", n, (n, reduction), np.int16)
-    np.copyto(qx, qf, casting="unsafe")
-    acc = ws.get(kernel.uid, "qiacc", n, (n, width), np.int32)
-    _int8_accumulate(qx, wqi, acc)
-    out = ws.get(kernel.uid, "fc", n, (n, width), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws, n)
-    if ctx is not None:
-        ctx.effective_macs += n * reduction * width
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "int8spd", *linear_variant_traffic(kernel, n, "int8spd")
-    )
-    if kernel.mask is not None:
-        _refine_linear_int8(kernel, q, x, qx, out, task, n)
-    _linear_epilogue(kernel, out, task, ws, recorder, ctx, n)
-    return out
-
-
 def run_linear_variant(kernel, x, task, ws, recorder, ctx):
     variant = kernel.variant
     if variant == "blocked":
@@ -1339,8 +879,6 @@ def run_linear_variant(kernel, x, task, ws, recorder, ctx):
         )
     if variant == "int8":
         return run_linear_int8(kernel, x, task, ws, recorder, ctx)
-    if variant == "int8spd":
-        return run_linear_int8spd(kernel, x, task, ws, recorder, ctx)
     raise ValueError(f"unknown linear variant '{variant}' on kernel '{kernel.name}'")
 
 
@@ -1370,10 +908,6 @@ class QuantizedGemm:
     w_scale: np.ndarray  # (C_out,)
     in_scale: float
     scale: np.ndarray  # (C_out,) = in_scale * w_scale
-    #: The same integer weights packed as contiguous int16 rows — the layout
-    #: the ``int8spd`` datapath streams.  Optional for backward compatibility
-    #: with pre-v3 PlanSpec payloads; derived lazily when absent.
-    weight_qi: Optional[np.ndarray] = None
 
 
 def quantize_gemm(weight_t: np.ndarray, in_absmax: float, margin: float = 1.05) -> QuantizedGemm:
@@ -1398,7 +932,6 @@ def quantize_gemm(weight_t: np.ndarray, in_absmax: float, margin: float = 1.05) 
         w_scale=w_scale.astype(dtype),
         in_scale=in_scale,
         scale=(w_scale * in_scale).astype(dtype),
-        weight_qi=np.ascontiguousarray(weight_q.astype(np.int16)),
     )
 
 
@@ -1453,30 +986,21 @@ def quantize_plan_kernels(
 def variant_candidates(kernel) -> Sequence[str]:
     """Every variant ``kernel`` is eligible to run, default first.
 
-    Shape gates: ``direct`` needs stride 1, ``winograd`` needs a stride-1
-    3x3 (:func:`winograd_eligible`), the int8 variants need an attached
-    quant payload, and ``int8spd`` additionally requires the host's integer
-    datapath to beat float32 (:func:`int8_datapath_beats_float`) — there is
-    no point letting the chooser time a variant that cannot win here.
+    Gates: ``direct`` needs stride 1 and ``int8`` needs an attached quant
+    payload.
     """
     kind = getattr(kernel, "kind", None)
     if kind == "conv":
         candidates = ["im2col", "blocked", "packed"]
         if kernel.stride == 1:
             candidates.append("direct")
-        if winograd_eligible(kernel):
-            candidates.append("winograd")
         if getattr(kernel, "quant", None) is not None:
             candidates.append("int8")
-            if int8_datapath_beats_float():
-                candidates.append("int8spd")
         return candidates
     if kind == "linear":
         candidates = ["dense", "blocked", "packed"]
         if getattr(kernel, "quant", None) is not None:
             candidates.append("int8")
-            if int8_datapath_beats_float():
-                candidates.append("int8spd")
         return candidates
     if kind == "pool":
         return list(POOL_VARIANTS)
@@ -1598,7 +1122,7 @@ def kernel_timing_key(kernel, variant: str, batch: int, dtype) -> tuple:
     conv geometry, the *current* weight shape (so dead-channel compaction
     yields a different key than the dense layer), mask presence (the fused
     epilogue is part of the measurement), arithmetic dtype, and the quant
-    container dtype for int8 variants.  Deliberately excludes weight values
+    container dtype for the int8 variant.  Deliberately excludes weight values
     and kernel names: timings are value-independent, which is what lets one
     measurement serve every task's plan with the same shapes.
     """

@@ -266,7 +266,7 @@ class ConvGemmMaskKernel:
 
     **Variants** — ``self.variant`` selects among the lowerings in
     :mod:`repro.engine.kernels` (``"im2col"`` default, ``"blocked"``,
-    ``"packed"``, ``"direct"``, ``"winograd"``, ``"int8"``, ``"int8spd"``);
+    ``"packed"``, ``"direct"``, ``"int8"``);
     see that module for the exactness contract of each.  The
     float-arithmetic variants defer to this path whenever the
     dynamic gate is armed and the previous layer's sparsity cleared it, so
@@ -314,12 +314,11 @@ class ConvGemmMaskKernel:
         self.dense_channels = dense_channels if dense_channels is not None else weight_t.shape[1]
         #: Execution variant (see repro.engine.kernels) and optional int8
         #: quantization payload; both are plan-construction-time state, set
-        #: by the chooser/quantizer before serving starts.  ``wino`` and
-        #: ``packed`` cache derived per-variant weight layouts (Winograd
-        #: transform / L2 column panels), built lazily on first use.
+        #: by the chooser/quantizer before serving starts.  ``packed`` caches
+        #: the ``"packed"`` variant's L2 column panels, built lazily on first
+        #: use.
         self.variant = "im2col"
         self.quant = None
-        self.wino = None
         self.packed = None
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
@@ -329,7 +328,7 @@ class ConvGemmMaskKernel:
                 record_range(task.name, self.name, float(np.abs(x).max()))
         variant = self.variant
         if variant != "im2col" and (
-            variant in ("int8", "int8spd")
+            variant == "int8"
             or ctx is None
             or ctx.dynamic is None
             or ctx.prev_sparsity < ctx.dynamic.gate
@@ -500,7 +499,7 @@ class LinearMaskKernel:
     plan) from plain ReLU trunks (``mask_classifier_hidden=False``).
 
     **Variants** — ``"dense"`` (default), ``"blocked"``, ``"packed"``,
-    ``"int8"``, ``"int8spd"``; same dispatch and dynamic-gate fallback
+    ``"int8"``; same dispatch and dynamic-gate fallback
     rules as :class:`ConvGemmMaskKernel`.
     """
 
@@ -539,7 +538,7 @@ class LinearMaskKernel:
                 record_range(task.name, self.name, float(np.abs(x).max()))
         variant = self.variant
         if variant != "dense" and (
-            variant in ("int8", "int8spd")
+            variant == "int8"
             or ctx is None
             or ctx.dynamic is None
             or ctx.prev_sparsity < ctx.dynamic.gate

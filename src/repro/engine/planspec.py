@@ -179,29 +179,23 @@ def _quant_dict(kernel, intern=None) -> Optional[Dict[str, object]]:
     quant = getattr(kernel, "quant", None)
     if quant is None:
         return None
-    payload = {
+    return {
         "weight_q": _arr(quant.weight_q, intern),
         "w_scale": _arr(quant.w_scale, intern),
         "in_scale": float(quant.in_scale),
         "scale": _arr(quant.scale, intern),
     }
-    if getattr(quant, "weight_qi", None) is not None:
-        payload["weight_qi"] = _arr(quant.weight_qi, intern)
-    return payload
 
 
 def _quant_from_dict(data) -> Optional[QuantizedGemm]:
     if data is None:
         return None
-    weight_qi = data.get("weight_qi")
+    # Any other key (an int16 weight copy written by older specs) is ignored.
     return QuantizedGemm(
         weight_q=np.asarray(data["weight_q"]),
         w_scale=np.asarray(data["w_scale"]),
         in_scale=float(data["in_scale"]),
         scale=np.asarray(data["scale"]),
-        # Pre-v3 payloads lack the int16 rows; the int8spd runner derives
-        # them lazily from weight_q on first use.
-        weight_qi=None if weight_qi is None else np.ascontiguousarray(weight_qi),
     )
 
 
@@ -256,6 +250,11 @@ def _describe_kernel(kernel, intern=None) -> Dict[str, object]:
     raise CompileError(f"cannot serialize kernel type {type(kernel).__name__}")
 
 
+#: Retired kernel variants that older specs and artifacts may still name,
+#: mapped to the surviving variant that runs the same layer semantics.
+_RETIRED_VARIANTS = {"winograd": "im2col", "int8spd": "int8"}
+
+
 def _build_kernel(index: int, desc: Dict[str, object]):
     # ``desc.get`` defaults keep version-1 specs (captured before kernel
     # variants existed) loadable: they rebuild on the default paths.
@@ -275,7 +274,8 @@ def _build_kernel(index: int, desc: Dict[str, object]):
             dense_macs=desc["dense_macs"],
             dense_channels=desc["dense_channels"],
         )
-        kernel.variant = desc.get("variant", "im2col")
+        variant = desc.get("variant", "im2col")
+        kernel.variant = _RETIRED_VARIANTS.get(variant, variant)
         kernel.quant = _quant_from_dict(desc.get("quant"))
         return kernel
     if kind == "linear":
@@ -289,7 +289,8 @@ def _build_kernel(index: int, desc: Dict[str, object]):
             dense_macs=desc["dense_macs"],
             dense_channels=desc["dense_channels"],
         )
-        kernel.variant = desc.get("variant", "dense")
+        variant = desc.get("variant", "dense")
+        kernel.variant = _RETIRED_VARIANTS.get(variant, variant)
         kernel.quant = _quant_from_dict(desc.get("quant"))
         return kernel
     if kind == "pool":
@@ -336,12 +337,11 @@ class PlanSpec:
     kernel_choices: Optional[Dict[str, str]] = None
     #: 2 = kernel descriptors carry ``variant``/``quant`` (version-1 specs
     #: still load; see ``_build_kernel``).
-    #: 3 = quant payloads additionally carry the packed int16 rows
-    #: (``weight_qi``) the int8spd datapath streams, and variants may name
-    #: the v3 lowerings (``packed``/``winograd``/``int8spd``) whose derived
-    #: weight layouts (Winograd transform, L2 column panels) are rebuilt
-    #: lazily in the worker rather than serialized.  Older specs still load:
-    #: every v3 field degrades to a lazy derivation.
+    #: 3 = variants may name ``packed``, whose L2 column panels are rebuilt
+    #: lazily in the worker rather than serialized.  Specs written before
+    #: two lowerings were retired may also carry an int16 weight copy in
+    #: their quant payloads (ignored on load) and name the retired variants
+    #: (mapped through ``_RETIRED_VARIANTS``).
     #: 4 = tensors captured through :meth:`PlanSetSpec.capture` are interned
     #: into the set-level shared table, with ``_TensorRef`` markers standing
     #: in here; only :meth:`PlanSetSpec.build_all` resolves them.
@@ -438,7 +438,10 @@ class PlanSpec:
             dynamic=dynamic,
             # getattr: version-1 pickles predate the field entirely.
             kernel_choices=(
-                dict(self.kernel_choices)
+                {
+                    name: _RETIRED_VARIANTS.get(variant, variant)
+                    for name, variant in self.kernel_choices.items()
+                }
                 if getattr(self, "kernel_choices", None)
                 else None
             ),

@@ -59,7 +59,7 @@ def add_workload_arguments(sub: argparse.ArgumentParser, default_requests: int) 
                      help="autotune and enable the dynamic sparse row-gather fast path")
     sub.add_argument("--kernels",
                      choices=["default", "auto", "im2col", "blocked", "packed",
-                              "direct", "winograd"],
+                              "direct"],
                      default="default",
                      help="kernel variant selection: 'auto' runs the per-layer chooser "
                           "on every served plan, a variant name forces it everywhere "

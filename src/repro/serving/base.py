@@ -258,7 +258,6 @@ class PlanSet:
                     visit(quant.weight_q)
                     visit(quant.w_scale)
                     visit(quant.scale)
-                    visit(quant.weight_qi)
             if shared_only:
                 continue
             for task_plan in plan.tasks.values():

@@ -10,6 +10,7 @@ to build a zero-downtime deployment flow on.
 
 from __future__ import annotations
 
+import copy
 import json
 import multiprocessing
 from typing import Dict
@@ -24,7 +25,14 @@ from repro.artifacts import (
     ModelArtifact,
     ModelStore,
 )
-from repro.engine import CalibrationProfile, compile_network, specialize_tasks
+from repro.engine import (
+    CalibrationProfile,
+    PlanSpec,
+    calibrate_plan,
+    compile_network,
+    quantize_plan_kernels,
+    specialize_tasks,
+)
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_tiny
 
@@ -198,6 +206,59 @@ class TestModelArtifactIntegrity:
     def test_non_artifact_directory_rejected(self, tmp_path):
         with pytest.raises(ArtifactError, match="not an artifact"):
             ModelArtifact.load(tmp_path)
+
+
+# ------------------------------------------------- retired kernel variants --
+class TestRetiredVariantNames:
+    """Specs and artifacts written before two kernel lowerings were retired
+    still load: their variant names map onto the surviving variants that run
+    the same arithmetic, and a stored int16 weight copy is ignored."""
+
+    @staticmethod
+    def legacy_spec(quantized):
+        spec = copy.deepcopy(PlanSpec.from_plan(quantized))
+        convs = [desc for desc in spec.kernels if desc["type"] == "conv"]
+        linears = [desc for desc in spec.kernels if desc["type"] == "linear"]
+        # Even convs name the retired float lowering, every other quantized
+        # GEMM the retired integer one.
+        for index, desc in enumerate(convs):
+            desc["variant"] = "winograd" if index % 2 == 0 else "int8spd"
+        for desc in linears:
+            desc["variant"] = "int8spd"
+        spec.kernel_choices = {desc["name"]: desc["variant"] for desc in convs + linears}
+        quant = convs[1]["quant"]
+        quant["weight_qi"] = np.asarray(quant["weight_q"]).astype(np.int16)
+        return spec
+
+    def test_legacy_spec_and_artifact_load_and_run_bit_identically(self, workload, tmp_path):
+        _, plan, _, _, _ = workload
+        quantized = PlanSpec.from_plan(plan).build()
+        profile = calibrate_plan(quantized, batch_size=4, seed=5)
+        assert quantize_plan_kernels(quantized, profile, set_variant=True)
+        legacy = self.legacy_spec(quantized)
+        mapped = {"winograd": "im2col", "int8spd": "int8"}
+        expected = {name: mapped[variant] for name, variant in legacy.kernel_choices.items()}
+
+        # The same plan forced onto the surviving variants by hand.
+        for kernel in quantized.kernels:
+            if getattr(kernel, "name", None) in expected:
+                kernel.variant = expected[kernel.name]
+
+        artifact = ModelArtifact.from_plans("legacy", plan)
+        artifact.plan_spec = legacy
+        artifact.save(tmp_path / "bundle")
+        from_artifact, _ = ModelArtifact.load(tmp_path / "bundle").build_plans()
+
+        batch = make_batch(plan, seed=15)
+        for rebuilt in (legacy.build(), from_artifact):
+            assert rebuilt.kernel_choices == expected
+            for kernel in rebuilt.kernels:
+                if getattr(kernel, "name", None) in expected:
+                    assert kernel.variant == expected[kernel.name]
+            for task in TASKS:
+                np.testing.assert_array_equal(
+                    rebuilt.run(batch, task), quantized.run(batch, task)
+                )
 
 
 # ----------------------------------------------------------- spawned loads --

@@ -98,6 +98,21 @@ class TestBackendFlags:
         assert "backend=thread workers=2" in output
         assert "images/sec" in output
 
+    def test_serve_bench_process_latency_excludes_worker_boot(self, tmp_path):
+        """Requests are submitted after the workers are up: every latency,
+        hence the median, fits inside the measured drain window."""
+        import json
+
+        out = tmp_path / "BENCH_serving.json"
+        assert main([
+            "serve-bench", "--backend", "process", "--workers", "1",
+            "--requests", "16", "--micro-batch", "4", "--tasks", "2",
+            "--json", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())["entries"][0]["report"]
+        assert report["completed"] == 16
+        assert 0 < report["latency"]["p50"] <= report["duration"]
+
 
 class TestSpecializationFlags:
     def test_parser_accepts_specialization_arguments(self):

@@ -20,13 +20,8 @@ shape × inputs) and asserts the whole equivalence lattice on every one:
   packer proves every multi-panel split exact on the host BLAS at build
   time and collapses the split otherwise, so the contract is unconditional);
 * direct (im2col-free) conv ≈ dense plan (ULP-level: per-tap regrouping);
-* Winograd F(2x2, 3x3) ≈ dense plan within its *declared* tolerance
-  (transform-domain regrouping; see ``winograd_tolerance``), with argmax
-  agreement ≥ 0.9;
 * int8 inference within its *declared* accuracy contract (decision fidelity,
   not value equivalence — the one deliberately-lossy path);
-* int8spd (the wide-integer speed datapath) == int8, **bit for bit** — a
-  faster lowering of the same quantized arithmetic, not a new contract;
 * a kernel-choice map survives PlanSpec + process spawn and serves the dense
   plan's bits from inside a worker;
 * a chooser-tuned compact specialization round-trips through PlanSpec into a
@@ -60,7 +55,6 @@ from repro.engine.kernels import (
     force_kernel_variant,
     quantize_plan_kernels,
     variant_candidates,
-    winograd_tolerance,
 )
 from repro.engine.specialize import specialize_plan
 from repro.mime import MimeNetwork, add_structured_sparsity_task
@@ -312,33 +306,6 @@ def test_packed_kernel_variants_are_bit_identical(arch):
         K._PACKED_PANEL_BYTES = original
 
 
-def test_winograd_conv_within_declared_tolerance(arch):
-    """Winograd convs stay inside ``winograd_tolerance`` and keep decisions.
-
-    F(2x2, 3x3) computes each output through transform-domain combinations —
-    value-equivalent up to accumulated rounding, so the comparison is the
-    declared-tolerance ``allclose`` (float64 here: ULP-class bounds), plus
-    the decision-fidelity floor serving cares about.
-    """
-    tuned = PlanSpec.from_plan(arch.plan).build()
-    forced = force_kernel_variant(tuned, "winograd")
-    assert forced, "no conv layer was eligible for the winograd variant"
-    tol = winograd_tolerance(arch.plan.dtype)
-    agree = total = 0
-    for case in arch.cases:
-        dense = arch.plan.run(case.images, case.task)
-        wino = tuned.run(case.images, case.task)
-        np.testing.assert_allclose(
-            wino, dense, **tol,
-            err_msg=f"arch seed {arch.seed}, task {case.task}",
-        )
-        agree += int((dense.argmax(axis=1) == wino.argmax(axis=1)).sum())
-        total += len(dense)
-    assert agree / total >= 0.9, (
-        f"arch seed {arch.seed}: argmax agreement {agree}/{total} below declared 0.9"
-    )
-
-
 def test_int8_variant_within_declared_tolerance(arch):
     """The int8 path stays inside its declared accuracy contract.
 
@@ -368,34 +335,6 @@ def test_int8_variant_within_declared_tolerance(arch):
     assert agree / total >= 0.9, (
         f"arch seed {arch.seed}: argmax agreement {agree}/{total} below declared 0.9"
     )
-
-
-def test_int8spd_is_bit_identical_to_int8(arch, monkeypatch):
-    """The wide-integer speed datapath changes speed, never bits.
-
-    ``int8spd`` lowers the exact same quantized arithmetic as ``int8``
-    (identical quantization, identical dequant op sequence, guard-band
-    refinement included), so its outputs must equal the reference int8
-    path's bit for bit — which also makes int8's declared accuracy contract
-    (``≤ 0.5pp``-class decision fidelity, tested above) carry over verbatim.
-    The host probe is forced to "wins" so the test runs everywhere.
-    """
-    monkeypatch.setattr(K, "_INT8SPD_WINS", True)
-    profile = calibrate_plan(arch.plan, batch_size=MICRO_BATCH, seed=arch.seed)
-    quantized = PlanSpec.from_plan(arch.plan).build()
-    names = quantize_plan_kernels(quantized, profile, set_variant=True)
-    assert names, "no kernel accepted int8 quantization"
-    reference = {
-        id(case): quantized.run(case.images, case.task) for case in arch.cases
-    }
-    forced = force_kernel_variant(quantized, "int8spd")
-    assert set(forced) == set(names), "every quantized GEMM must accept int8spd"
-    for case in arch.cases:
-        speed = quantized.run(case.images, case.task)
-        np.testing.assert_array_equal(
-            speed, reference[id(case)],
-            err_msg=f"arch seed {arch.seed}, task {case.task}",
-        )
 
 
 def test_chooser_tuned_specialization_round_trips_through_sharded_worker(arch):

@@ -2,12 +2,10 @@
 
 The differential harness (``tests/test_differential.py``) proves whole-plan
 equivalence of every variant; this file pins down the component-level
-contracts — panel construction, block partitioning, Winograd edge shapes and
-its declared tolerance, packed-panel lane alignment, the int8 speed
-datapath's bit-identity and eligibility gate, quantization round-trip,
-chooser timing-cache dedupe, choice-map replay, variant traffic accounting,
-and the two pooling regressions (overlapping windows and the ``out_shape``
-geometry fix).
+contracts — panel construction, block partitioning, packed-panel lane
+alignment, quantization round-trip, chooser timing-cache dedupe, choice-map
+replay, variant traffic accounting, and the two pooling regressions
+(overlapping windows and the ``out_shape`` geometry fix).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.engine.kernels import (
     quantize_plan_kernels,
     variant_candidates,
     winograd_tolerance,
-    winograd_weights,
 )
 from repro.engine.plan import (
     ConvGemmMaskKernel,
@@ -40,6 +37,7 @@ from repro.engine.plan import (
 )
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_tiny
+from repro.serving.base import PlanSet
 
 
 def make_linear_kernel(rng, d_in, d_out, mask=False, dtype=np.float32):
@@ -104,6 +102,13 @@ def test_direct_1x1_conv_is_bit_identical_to_im2col():
     np.testing.assert_array_equal(out, ref)
 
 
+def test_declared_float_tolerance_is_pinned():
+    """The benchmark's correctness gate and the differential suite compare
+    non-bit-exact paths under these exact bounds."""
+    assert winograd_tolerance(np.float64) == {"rtol": 1e-8, "atol": 1e-10}
+    assert winograd_tolerance(np.float32) == {"rtol": 1e-3, "atol": 1e-5}
+
+
 def test_blocked_conv_bit_identical_across_partial_blocks(monkeypatch):
     """Odd batch sizes leave a partial final image block; bits must not move."""
     rng = np.random.default_rng(13)
@@ -118,72 +123,6 @@ def test_blocked_conv_bit_identical_across_partial_blocks(monkeypatch):
         out = kernel.run(x.copy(), task, WorkspacePool(), None)
         kernel.variant = "im2col"
         np.testing.assert_array_equal(out, ref, err_msg=f"batch {n}")
-
-
-# ----------------------------------------------------------------- winograd ----
-@pytest.mark.parametrize(
-    "hw,p,mask",
-    [
-        (8, 1, True),   # even output, the common padded case
-        (7, 1, True),   # odd output: tile remainder in both axes
-        (9, 0, True),   # valid conv, odd output
-        (6, 2, False),  # over-padding, no mask epilogue
-        (5, 1, False),  # smallest interesting plane
-    ],
-)
-def test_winograd_matches_im2col_within_declared_tolerance(hw, p, mask):
-    rng = np.random.default_rng(61)
-    kernel, task = make_conv_kernel(rng, c_in=5, c_out=7, hw=hw, p=p, mask=mask)
-    x = rng.normal(size=(3, hw, hw, 5)).astype(np.float32)
-    ref = kernel.run(x.copy(), task, WorkspacePool(), None).copy()
-    kernel.variant = "winograd"
-    out = kernel.run(x.copy(), task, WorkspacePool(), None)
-    np.testing.assert_allclose(out, ref, **winograd_tolerance(np.float32))
-
-
-def test_winograd_tolerance_property_at_paper_level_sparsity():
-    """Seeded sweep with a mask killing a realistic activation fraction.
-
-    The mask epilogue can flip a slot only when a value sits inside the
-    declared tolerance band of its threshold; assert near-total survive/kill
-    agreement and the declared tolerance on every slot both paths kept.
-    """
-    tol = winograd_tolerance(np.float32)
-    for seed in (101, 202, 303):
-        rng = np.random.default_rng(seed)
-        kernel, task = make_conv_kernel(rng, c_in=8, c_out=8, hw=10, mask=True)
-        # Scale thresholds up to paper-level kill rates (~40-60% zeros).
-        task.thresholds[0] *= 40.0
-        x = rng.normal(size=(4, 10, 10, 8)).astype(np.float32)
-        ref = kernel.run(x.copy(), task, WorkspacePool(), None).copy()
-        kernel.variant = "winograd"
-        out = kernel.run(x.copy(), task, WorkspacePool(), None)
-        kernel.variant = "im2col"
-        sparsity = float((ref == 0.0).mean())
-        assert 0.2 < sparsity < 0.9, f"seed {seed}: unrealistic sparsity {sparsity}"
-        agree = (out == 0.0) == (ref == 0.0)
-        assert agree.mean() >= 0.999, f"seed {seed}"
-        np.testing.assert_allclose(out[agree], ref[agree], **tol)
-
-
-def test_winograd_ineligible_shapes_are_gated():
-    rng = np.random.default_rng(67)
-    strided, _ = make_conv_kernel(rng, c_in=3, c_out=4, hw=9, k=3, s=2, p=1)
-    five_tap, _ = make_conv_kernel(rng, c_in=3, c_out=4, hw=11, k=5, s=1, p=2)
-    for kernel in (strided, five_tap):
-        assert "winograd" not in variant_candidates(kernel)
-        with pytest.raises(ValueError, match="not eligible"):
-            K.set_kernel_variant(kernel, "winograd")
-
-
-def test_winograd_weights_transformed_once_and_cached():
-    rng = np.random.default_rng(71)
-    kernel, _ = make_conv_kernel(rng, c_in=4, c_out=6, hw=8)
-    u = winograd_weights(kernel)
-    assert u.shape == (16, 4, 6)
-    assert u.dtype == kernel.weight_t.dtype
-    assert winograd_weights(kernel) is u, "second call must reuse the cache"
-    assert kernel.wino is u
 
 
 # ------------------------------------------------------------- packed panels ----
@@ -242,67 +181,6 @@ def test_packed_split_collapses_when_host_proof_fails(monkeypatch):
     assert len(panels) == 1
     assert panels[0][:2] == (0, 50)
     assert panels[0][2].flags["C_CONTIGUOUS"]
-
-
-# ------------------------------------------------------------ int8 speed path ----
-def attach_quant(kernel, in_absmax=4.0):
-    kernel.quant = quantize_gemm(kernel.weight_t, in_absmax=in_absmax)
-    return kernel.quant
-
-
-def test_int8spd_bit_identical_to_int8_conv_and_linear():
-    rng = np.random.default_rng(89)
-    conv, conv_task = make_conv_kernel(rng, c_in=4, c_out=6, hw=8, mask=True)
-    fc, fc_task = make_linear_kernel(rng, d_in=36, d_out=10, mask=True)
-    x_conv = rng.normal(size=(3, 8, 8, 4)).astype(np.float32)
-    x_fc = rng.normal(size=(5, 36)).astype(np.float32)
-    for kernel, task, x in ((conv, conv_task, x_conv), (fc, fc_task, x_fc)):
-        attach_quant(kernel)
-        kernel.variant = "int8"
-        ref = kernel.run(x.copy(), task, WorkspacePool(), None).copy()
-        kernel.variant = "int8spd"
-        out = kernel.run(x.copy(), task, WorkspacePool(), None)
-        np.testing.assert_array_equal(out, ref)
-
-
-def test_int8spd_panel_loop_exact_on_deep_reductions(monkeypatch):
-    """Depth beyond the int32-safety panel bound must still accumulate exactly."""
-    rng = np.random.default_rng(97)
-    monkeypatch.setattr(K, "_INT8SPD_PANEL_ROWS", 16)  # force the K-panel loop
-    qx = rng.integers(-127, 128, size=(6, 50), dtype=np.int16)
-    wqi = np.ascontiguousarray(rng.integers(-127, 128, size=(50, 7), dtype=np.int16))
-    acc = np.empty((6, 7), np.int32)
-    K._int8_accumulate(qx, wqi, acc)
-    expect = qx.astype(np.int64) @ wqi.astype(np.int64)
-    np.testing.assert_array_equal(acc.astype(np.int64), expect)
-
-
-def test_int8spd_derives_weight_qi_from_pre_v3_payload():
-    rng = np.random.default_rng(101)
-    kernel, task = make_conv_kernel(rng, c_in=4, c_out=6, hw=8, mask=True)
-    q = attach_quant(kernel)
-    x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
-    kernel.variant = "int8spd"
-    ref = kernel.run(x.copy(), task, WorkspacePool(), None).copy()
-    q.weight_qi = None  # what a plan rebuilt from a v2 PlanSpec looks like
-    out = kernel.run(x.copy(), task, WorkspacePool(), None)
-    assert q.weight_qi is not None, "lazy derivation must repopulate the payload"
-    assert q.weight_qi.dtype == np.int16 and q.weight_qi.flags["C_CONTIGUOUS"]
-    np.testing.assert_array_equal(out, ref)
-
-
-def test_int8spd_eligibility_follows_host_probe(monkeypatch):
-    rng = np.random.default_rng(103)
-    kernel, _ = make_conv_kernel(rng, c_in=4, c_out=6, hw=8)
-    attach_quant(kernel)
-    monkeypatch.setattr(K, "_INT8SPD_WINS", False)
-    candidates = variant_candidates(kernel)
-    assert "int8" in candidates and "int8spd" not in candidates
-    monkeypatch.setattr(K, "_INT8SPD_WINS", True)
-    assert "int8spd" in variant_candidates(kernel)
-    # Shipped choices still execute on losing hosts: the gate is on choosing.
-    monkeypatch.setattr(K, "_INT8SPD_WINS", False)
-    kernel.variant = "int8spd"
 
 
 # ------------------------------------------------------- pooling regressions ----
@@ -394,6 +272,23 @@ def test_quantize_plan_requires_calibrated_ranges():
     plan = small_plan()
     with pytest.raises(KeyError, match="activation range"):
         quantize_plan_kernels(plan, SimpleNamespace(ranges={}))
+
+
+def test_plan_bytes_counts_one_copy_of_each_quant_payload():
+    """An int8 plan's resident bytes grow by exactly ``weight_q + w_scale +
+    scale`` per quantized kernel: no second integer copy of the weights."""
+    plan = small_plan(seed=47)
+    profile = calibrate_plan(plan, batch_size=8, seed=47)
+    assert quantize_plan_kernels(plan, profile, set_variant=True)
+    quantized = [k for k in plan.kernels if getattr(k, "quant", None) is not None]
+    expected = sum(
+        k.quant.weight_q.nbytes + k.quant.w_scale.nbytes + k.quant.scale.nbytes
+        for k in quantized
+    )
+    with_quant = PlanSet(plan).plan_bytes(shared_only=True)
+    for kernel in quantized:
+        kernel.quant = None
+    assert with_quant - PlanSet(plan).plan_bytes(shared_only=True) == expected
 
 
 def test_int8_guard_band_keeps_first_layer_decisions_exact():
@@ -531,7 +426,7 @@ def test_variant_traffic_accounting():
     pool = MaxPoolKernel(index=1, kernel_size=2, stride=2, out_shape=(6, 4, 4))
     x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
     ws = WorkspacePool()
-    for variant in ("im2col", "blocked", "packed", "direct", "winograd"):
+    for variant in ("im2col", "blocked", "packed", "direct"):
         kernel.variant = variant
         y = kernel.run(x, task, ws, recorder)
     for variant in ("reshape", "views"):
@@ -539,13 +434,9 @@ def test_variant_traffic_accounting():
         pool.run(y, task, ws, recorder)
     totals = recorder.variant_totals()
     assert set(totals) == {
-        "im2col", "blocked", "packed", "direct", "winograd",
-        "pool-reshape", "pool-views",
+        "im2col", "blocked", "packed", "direct", "pool-reshape", "pool-views",
     }
     for name, entry in totals.items():
         assert entry["calls"] == 1
         assert entry["bytes"] > 0
         assert (entry["macs"] > 0) == (not name.startswith("pool")), name
-    # Winograd's 16 multiplies per 2x2 output tile vs im2col's 36: the
-    # physical MAC ledger must show the genuine reduction.
-    assert totals["winograd"]["macs"] < totals["im2col"]["macs"]

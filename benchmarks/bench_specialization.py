@@ -3,18 +3,14 @@
 Not a paper figure — this benchmarks the repo's own plan-specialization
 pipeline on a workload with paper-level per-task structured sparsity (~65% of
 every masked layer's channels structurally dead per task, cf. Table II's
-0.5-0.9 layerwise sparsity).  Three properties are asserted:
+0.5-0.9 layerwise sparsity).  Two properties are asserted:
 
 * the default (throughput-mode) specialized plans deliver at least
   ``SPECIALIZATION_MIN_SPEEDUP``x (1.3x; 1.15x under ``--smoke``) the
   images/sec of the dense plan on the same pipelined request stream;
-* specialization and the dynamic fast path never change *what* is computed:
-  effective MACs drop while outputs stay ULP-equivalent (the bit-exact mode
-  is covered by the tier-1 suite); and
-* the dynamic sparse fast path costs nothing when there is nothing to skip:
-  with zero measured sparsity the gate never opens and throughput stays
-  within ``DYNAMIC_MAX_OVERHEAD`` (1.1x; 1.3x under ``--smoke``) of the
-  plain dense run.
+* specialization never changes *what* is computed: effective MACs drop
+  while outputs stay ULP-equivalent (the bit-exact mode is covered by the
+  tier-1 suite).
 
 Set ``BENCH_RECORD=path.json`` to append this run's numbers to the
 ``BENCH_specialization.json`` trajectory file.
@@ -35,7 +31,6 @@ import numpy as np
 from repro.engine import (
     MultiTaskEngine,
     compile_network,
-    enable_dynamic_sparse,
     specialize_tasks,
 )
 from repro.mime import MimeNetwork, add_structured_sparsity_task
@@ -54,19 +49,16 @@ def _ratio_from_env(name: str, default: float, smoke_default: float, smoke: bool
     return smoke_default if smoke else default
 
 
-def _build_network(dead_fraction: float) -> MimeNetwork:
+def _build_network() -> MimeNetwork:
     rng = np.random.default_rng(42)
     backbone = vgg_small(num_classes=8, input_size=INPUT_SIZE, in_channels=3, rng=rng)
     network = MimeNetwork(backbone)
     network.eval()
     for index, name in enumerate(TASKS):
-        task = add_structured_sparsity_task(
+        add_structured_sparsity_task(
             network, name, num_classes=10 + index, rng=rng,
-            dead_fraction=dead_fraction, threshold_jitter=0.2,
+            dead_fraction=DEAD_FRACTION, threshold_jitter=0.2,
         )
-        if dead_fraction == 0.0:
-            for param in task.thresholds:
-                param.data[:] = -1e9  # nothing is ever masked: zero sparsity
     return network
 
 
@@ -105,7 +97,7 @@ def _record_entry(entry: dict) -> None:
 def test_specialized_plans_beat_dense_throughput(smoke):
     min_speedup = _ratio_from_env("SPECIALIZATION_MIN_SPEEDUP", 1.3, 1.15, smoke)
     num_requests = 48 if smoke else 96
-    network = _build_network(DEAD_FRACTION)
+    network = _build_network()
     plan = compile_network(network, dtype=np.float32)
     specialized = specialize_tasks(plan)  # default: throughput mode
     exact = specialize_tasks(plan, compact_reduction=False)
@@ -152,41 +144,3 @@ def test_specialized_plans_beat_dense_throughput(smoke):
         f"specialized plans deliver only {spec_ips / dense_ips:.2f}x the dense "
         f"throughput (required {min_speedup}x at ~{100 * DEAD_FRACTION:.0f}% dead channels)"
     )
-
-
-def test_dynamic_fast_path_is_free_at_zero_sparsity(smoke):
-    max_overhead = _ratio_from_env("DYNAMIC_MAX_OVERHEAD", 1.1, 1.3, smoke)
-    num_requests = 48 if smoke else 96
-    network = _build_network(dead_fraction=0.0)  # thresholds never mask anything
-    plan = compile_network(network, dtype=np.float32)
-    images, tasks = _request_stream(num_requests)
-
-    # Interleave the two measurements: on shared/1-core runners, measuring
-    # one configuration entirely before the other folds machine drift into
-    # the ratio this test exists to bound.
-    dense_ips = 0.0
-    dynamic_ips = 0.0
-    for _ in range(3):
-        plan.dynamic = None
-        dense_ips = max(dense_ips, _drain_throughput(plan, {}, images, tasks, rounds=1))
-        enable_dynamic_sparse(plan, gate=0.5, crossover=0.5)
-        dynamic_ips = max(dynamic_ips, _drain_throughput(plan, {}, images, tasks, rounds=1))
-
-    overhead = dense_ips / dynamic_ips
-    print()
-    print(f"Dynamic fast path at zero sparsity ({num_requests} requests):")
-    print(f"  dense plan          : {dense_ips:8.1f} images/sec")
-    print(f"  dynamic gate enabled: {dynamic_ips:8.1f} images/sec "
-          f"({overhead:.3f}x dense time)")
-    assert overhead <= max_overhead, (
-        f"dynamic fast path costs {overhead:.2f}x at zero sparsity "
-        f"(allowed {max_overhead}x) — the gate should make it free"
-    )
-
-    # Sanity: the gate really never opened (zero sparsity -> no row checks).
-    from repro.engine import RunContext
-
-    ctx = RunContext(plan.dynamic)
-    plan.run(images[:MICRO_BATCH], tasks[0], ctx=ctx)
-    assert ctx.dynamic_gemms == 0
-    assert ctx.effective_macs == ctx.dense_macs

@@ -303,11 +303,14 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     backbone = None
     baseline = None
     if args.artifact:
-        if args.specialize or args.dynamic or args.dead_fraction:
+        if (
+            args.specialize or args.exact_specialize or args.dead_fraction
+            or args.kernels != "default" or args.int8
+        ):
             print(
                 "note: --artifact supplies the plans as published; the workload/"
                 "specialization flags (--model/--tasks/--dead-fraction/"
-                "--specialize/--dynamic/...) are ignored"
+                "--specialize/--exact-specialize/--kernels/--int8) are ignored"
             )
         artifact, store = load_artifact_plans(args.artifact)
         plan, specialized = artifact.build_plans()

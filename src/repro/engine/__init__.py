@@ -27,9 +27,8 @@ package provides the dedicated inference path:
   (:class:`CalibrationProfile`, JSON-serialisable) and
   :mod:`repro.engine.specialize` turns them into compacted per-task plans —
   dead-channel elimination with the shrinkage propagated through im2col rows
-  and the FC head (:func:`specialize_tasks`), plus the dynamic sparse
-  row-gather fast path and its autotuner
-  (:func:`autotune_dynamic_crossover`).
+  and the FC head (:func:`specialize_tasks`).  :class:`RunContext` counts
+  the dense and effective MACs of each run.
 * :mod:`repro.engine.kernels` holds the kernel variant subsystem: the
   cache-blocked fused-epilogue GEMM, the im2col-free direct convolution, the
   opt-in int8 quantized path (:func:`quantize_plan_kernels`), and the
@@ -42,7 +41,6 @@ from repro.engine.plan import (
     ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
-    DynamicSparseConfig,
     EnginePlan,
     LinearMaskKernel,
     MaskSpec,
@@ -78,8 +76,6 @@ from repro.engine.kernels import (
 from repro.engine.planspec import PlanSetSpec, PlanSpec, TaskSpec
 from repro.engine.specialize import (
     SpecializedEnginePlan,
-    autotune_dynamic_crossover,
-    enable_dynamic_sparse,
     specialize_plan,
     specialize_tasks,
 )
@@ -109,7 +105,6 @@ __all__ = [
     "ChannelSurvivalRecorder",
     "CompileError",
     "ConvGemmMaskKernel",
-    "DynamicSparseConfig",
     "EnginePlan",
     "LinearMaskKernel",
     "MaskSpec",
@@ -120,10 +115,8 @@ __all__ = [
     "TaskPlan",
     "TaskSpec",
     "WorkspacePool",
-    "autotune_dynamic_crossover",
     "calibrate_plan",
     "compile_network",
-    "enable_dynamic_sparse",
     "profile_from_network",
     "specialize_plan",
     "specialize_tasks",

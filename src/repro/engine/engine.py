@@ -63,13 +63,11 @@ class EngineRunStats:
     batch_tasks: List[str] = field(default_factory=list)
     #: MACs an unspecialized dense plan would have executed for these images.
     dense_macs: int = 0
-    #: MACs actually executed (after plan specialization and/or the dynamic
-    #: sparse fast path).  Equal to :attr:`dense_macs` on a plain dense run.
+    #: MACs actually executed (after plan specialization).  Equal to
+    #: :attr:`dense_macs` on a plain dense run.
     effective_macs: int = 0
     #: Batches served by a per-task specialized plan.
     specialized_batches: int = 0
-    #: GEMM invocations that took the dynamic row-gather fast path.
-    dynamic_gemms: int = 0
 
     def mac_reduction(self) -> float:
         """Fraction of dense MACs avoided (0.0 when nothing was saved)."""
@@ -119,8 +117,7 @@ def recorder_hardware_report(
     )
     # Surface the engine's *software* MAC counts next to the analytical model:
     # the simulator estimates what the accelerator would skip, the recorder
-    # reports what the CPU engine actually executed after specialization and
-    # the dynamic fast path.
+    # reports what the CPU engine actually executed after specialization.
     result.measured_dense_macs, result.measured_effective_macs = recorder.mac_totals()
     return result
 
@@ -265,10 +262,7 @@ class MultiTaskEngine:
         for batch in policy.order(chunk_requests(requests, self.micro_batch)):
             images = np.stack([request.image for request in batch.requests])
             plan = self.plan_for(batch.task)
-            # Specialized plans snapshot the dense plan's dynamic config at
-            # build time; falling back here lets enable_dynamic_sparse /
-            # autotune on the dense plan take effect in either order.
-            ctx = RunContext(plan.dynamic if plan.dynamic is not None else self.plan.dynamic)
+            ctx = RunContext()
             logits = plan.run(images, batch.task, recorder=self.recorder, ctx=ctx)
             self.recorder.record_pass(batch.task, len(batch))
             self.recorder.record_macs(ctx.dense_macs, ctx.effective_macs)
@@ -279,7 +273,6 @@ class MultiTaskEngine:
             stats.batch_tasks.append(batch.task)
             stats.dense_macs += ctx.dense_macs
             stats.effective_macs += ctx.effective_macs
-            stats.dynamic_gemms += ctx.dynamic_gemms
             if plan is not self.plan:
                 stats.specialized_batches += 1
             if previous_task is not None and previous_task != batch.task:

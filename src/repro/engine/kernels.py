@@ -7,9 +7,9 @@ machine.  This module adds alternative lowerings of the *same* layer
 semantics, selectable per kernel instance via its ``variant`` attribute:
 
 Convolutions (``ConvGemmMaskKernel``)
-  * ``"im2col"`` (default) — the original path, untouched, so existing plans
-    behave exactly as before and the dynamic row-gather fast path keeps its
-    bit-exactness story.
+  * ``"im2col"`` (default) — one monolithic im2col matrix and one GEMM;
+    the reference the other variants' exactness contracts are stated
+    against.
   * ``"blocked"`` — cache-blocked fused GEMM: images are processed in blocks
     whose im2col panel fits in cache (:data:`_COLS_BLOCK_BYTES`), the panel
     is built with one long-run strided copy per kernel row
@@ -201,8 +201,8 @@ def matmul_rowsafe(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = Non
 # Shared epilogue: threshold mask + sparsity reporting.
 # ---------------------------------------------------------------------------
 def report_mask_stats(
-    kernel, task, recorder, ctx, images: int, slots_per_image: int,
-    channel_live: Optional[np.ndarray], live: float, mask_size: int,
+    kernel, task, recorder, images: int, slots_per_image: int,
+    channel_live: Optional[np.ndarray], live: float,
 ) -> None:
     """Sparsity-reporting tail shared by every masked-GEMM variant.
 
@@ -212,21 +212,17 @@ def report_mask_stats(
     ``record_channels`` calibration hook).  The recorded sparsity is
     normalised by the layer's **dense** channel count (``kernel.
     dense_channels``) so dense and specialized runs of the same traffic stay
-    comparable, while the ``ctx`` gate signal uses the stream's own
-    geometry (``mask_size``) — it describes the data the next kernel sees.
+    comparable.
     """
-    record_channels = getattr(recorder, "record_channels", None) if recorder is not None else None
+    record_channels = getattr(recorder, "record_channels", None)
     if record_channels is not None and channel_live is not None:
         record_channels(task.name, kernel.mask.layer_name, channel_live, images * slots_per_image)
-    if recorder is not None:
-        dense_slots = images * slots_per_image * kernel.dense_channels
-        recorder.record(task.name, kernel.mask.layer_name, 1.0 - live / dense_slots, images)
-    if ctx is not None:
-        ctx.prev_sparsity = 1.0 - live / mask_size
+    dense_slots = images * slots_per_image * kernel.dense_channels
+    recorder.record(task.name, kernel.mask.layer_name, 1.0 - live / dense_slots, images)
 
 
 def apply_threshold_mask(
-    kernel, gemm: np.ndarray, task, ws, recorder, ctx, slots_per_image: int
+    kernel, gemm: np.ndarray, task, ws, recorder, slots_per_image: int
 ) -> None:
     """Monolithic threshold-mask step of the fused GEMM kernels.
 
@@ -242,9 +238,8 @@ def apply_threshold_mask(
     mask = ws.get(kernel.uid, "mask", n, gemm.shape, np.bool_)
     np.greater_equal(gemm, task.thresholds[kernel.mask.slot], out=mask)
     gemm *= mask
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
-    if survival_needed:
-        if recorder is not None and getattr(recorder, "record_channels", None) is not None:
+    if recorder is not None:
+        if getattr(recorder, "record_channels", None) is not None:
             # Per-channel live-slot counts (channels are the last axis); the
             # scalar total falls out of them for free.
             channel_live = mask.sum(axis=tuple(range(mask.ndim - 1)), dtype=np.int64)
@@ -252,11 +247,7 @@ def apply_threshold_mask(
         else:
             channel_live = None
             live = float(np.count_nonzero(mask))
-        report_mask_stats(
-            kernel, task, recorder, ctx, n, slots_per_image, channel_live, live, mask.size
-        )
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
+        report_mask_stats(kernel, task, recorder, n, slots_per_image, channel_live, live)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,6 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
 
     out = ws.get(kernel.uid, "out", n, (n * spi, c_out), dtype)
     cols = ws.get(kernel.uid, "bcols", block, (block * spi, reduction), dtype)
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     need_channels = (
         recorder is not None and getattr(recorder, "record_channels", None) is not None
     )
@@ -451,24 +441,16 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
             gemm *= tile_mask
             if channel_live is not None:
                 channel_live += tile_mask.sum(axis=(0, 1), dtype=np.int64)
-            elif survival_needed:
+            elif recorder is not None:
                 live_total += np.count_nonzero(tile_mask)
 
     if ctx is not None:
         ctx.effective_macs += n * spi * reduction * c_out
         ctx.dense_macs += n * kernel.dense_macs_per_image
     record_variant_traffic(recorder, variant, *conv_variant_traffic(kernel, n, variant))
-    if kernel.mask is not None:
-        if survival_needed:
-            live = float(channel_live.sum()) if channel_live is not None else float(live_total)
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, spi,
-                channel_live, live, n * spi * c_out,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
+    if kernel.mask is not None and recorder is not None:
+        live = float(channel_live.sum()) if channel_live is not None else float(live_total)
+        report_mask_stats(kernel, task, recorder, n, spi, channel_live, live)
     return out.reshape(n, h_out, w_out, c_out)
 
 
@@ -600,9 +582,7 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
         ctx.dense_macs += n * kernel.dense_macs_per_image
     record_variant_traffic(recorder, "direct", *conv_variant_traffic(kernel, n, "direct"))
     if kernel.mask is not None:
-        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, ctx, spi)
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
+        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, spi)
     return out.reshape(n, h_out, w_out, c_out)
 
 
@@ -719,9 +699,7 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     record_variant_traffic(recorder, "int8", *conv_variant_traffic(kernel, n, "int8"))
     if kernel.mask is not None:
         _refine_conv_int8(kernel, q, x, cols, out, task, ws, n)
-        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, ctx, spi)
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
+        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, spi)
     return out.reshape(n, h_out, w_out, c_out)
 
 
@@ -744,16 +722,6 @@ def run_conv_variant(kernel, x, task, ws, recorder, ctx):
 # ---------------------------------------------------------------------------
 # Fully-connected variants.
 # ---------------------------------------------------------------------------
-def _linear_epilogue(kernel, out, task, ws, recorder, ctx, n):
-    if kernel.mask is not None:
-        apply_threshold_mask(kernel, out, task, ws, recorder, ctx, 1)
-    else:
-        if kernel.relu:
-            np.maximum(out, 0.0, out=out)
-        if ctx is not None:
-            ctx.prev_sparsity = 0.0
-
-
 def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="blocked"):
     """Row-blocked FC GEMM with the bias+mask epilogue fused per block.
 
@@ -769,11 +737,10 @@ def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant=
     out = ws.get(kernel.uid, "fc", n, (n, width), dtype)
     block = max(1, _COLS_BLOCK_BYTES // max(1, reduction * dtype.itemsize))
     thresholds = task.thresholds[kernel.mask.slot] if kernel.mask is not None else None
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     mask = channel_live = None
     if kernel.mask is not None:
         mask = ws.get(kernel.uid, "mask", n, (n, width), np.bool_)
-        if survival_needed:
+        if recorder is not None:
             channel_live = np.zeros(width, dtype=np.int64)
     for b0 in range(0, n, block):
         b1 = min(n, b0 + block)
@@ -801,16 +768,8 @@ def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant=
         ctx.effective_macs += n * reduction * width
         ctx.dense_macs += n * kernel.dense_macs_per_image
     record_variant_traffic(recorder, variant, *linear_variant_traffic(kernel, n, variant))
-    if kernel.mask is not None:
-        if survival_needed:
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, 1,
-                channel_live, float(channel_live.sum()), n * width,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
+    if kernel.mask is not None and recorder is not None:
+        report_mask_stats(kernel, task, recorder, n, 1, channel_live, float(channel_live.sum()))
     return out
 
 
@@ -864,7 +823,9 @@ def run_linear_int8(kernel, x, task, ws, recorder, ctx):
     record_variant_traffic(recorder, "int8", *linear_variant_traffic(kernel, n, "int8"))
     if kernel.mask is not None:
         _refine_linear_int8(kernel, q, x, qx, out, task, n)
-    _linear_epilogue(kernel, out, task, ws, recorder, ctx, n)
+        apply_threshold_mask(kernel, out, task, ws, recorder, 1)
+    elif kernel.relu:
+        np.maximum(out, 0.0, out=out)
     return out
 
 

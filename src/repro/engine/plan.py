@@ -139,9 +139,6 @@ class WorkspacePool:
         return len(self._buffers)
 
 
-# Backwards-compatible alias (pre-serving-runtime name).
-_Workspaces = WorkspacePool
-
 #: Process-wide kernel identities for WorkspacePool keys.  ``id(kernel)``
 #: would be recycled by the allocator after a plan is garbage collected, and
 #: a recycled key with matching geometry would hand a *stale* buffer to a new
@@ -151,50 +148,23 @@ _KERNEL_UIDS = itertools.count()
 
 
 # ---------------------------------------------------------------------------
-# Per-run execution context: dynamic-sparsity state and effective-MAC counts.
+# Per-run execution context: effective-MAC counts.
 # ---------------------------------------------------------------------------
-@dataclass
-class DynamicSparseConfig:
-    """Tuning of the dynamic sparse fast path (see :class:`ConvGemmMaskKernel`).
-
-    ``gate`` is the minimum *measured* element sparsity of the previous masked
-    layer before a kernel even computes row liveness (the check itself costs a
-    pass over the im2col matrix, so it is skipped on dense traffic — which is
-    what keeps the fast path free at zero sparsity).  ``crossover`` maps a
-    kernel name to the maximum live-row fraction at which the
-    gather→GEMM→scatter path still beats the dense GEMM; kernels missing from
-    the map use ``default_crossover``.  Build the map by measurement with
-    :func:`repro.engine.specialize.autotune_dynamic_crossover`.
-    """
-
-    gate: float = 0.5
-    default_crossover: float = 0.5
-    crossover: Dict[str, float] = field(default_factory=dict)
-
-    def crossover_for(self, kernel_name: str) -> float:
-        return self.crossover.get(kernel_name, self.default_crossover)
-
-
 class RunContext:
-    """Mutable state threaded through one :meth:`EnginePlan.run` call.
+    """MAC counters threaded through one :meth:`EnginePlan.run` call.
 
-    Carries the previous masked layer's measured batch sparsity (the dynamic
-    fast path's gate signal) and accumulates the multiply-accumulate counts
-    actually executed (``effective_macs``) next to what a fully dense,
-    unspecialized plan would have executed (``dense_macs``).  Callers that
-    want the counts pass a context in and read it back after ``run``;
-    contexts may be reused across micro-batches to accumulate totals.
+    Accumulates the multiply-accumulate counts actually executed
+    (``effective_macs``) next to what a fully dense, unspecialized plan
+    would have executed (``dense_macs``).  Callers that want the counts pass
+    a context in and read it back after ``run``; contexts may be reused
+    across micro-batches to accumulate totals.
     """
 
-    __slots__ = ("dynamic", "prev_sparsity", "dense_macs", "effective_macs", "dynamic_gemms")
+    __slots__ = ("dense_macs", "effective_macs")
 
-    def __init__(self, dynamic: Optional[DynamicSparseConfig] = None) -> None:
-        self.dynamic = dynamic
-        self.prev_sparsity = 0.0
+    def __init__(self) -> None:
         self.dense_macs = 0
         self.effective_macs = 0
-        #: GEMMs that took the row-gather fast path.
-        self.dynamic_gemms = 0
 
     def mac_reduction(self) -> float:
         """Fraction of dense MACs avoided (0.0 when nothing was saved)."""
@@ -204,45 +174,6 @@ class RunContext:
 # ---------------------------------------------------------------------------
 # Fused kernels.
 # ---------------------------------------------------------------------------
-#: Shared mask step of the fused GEMM kernels — the implementation (and the
-#: per-block fused form the cache-blocked variants use) lives in
-#: :mod:`repro.engine.kernels` so every variant feeds the same sparsity
-#: reporting tail.  Re-exported under the historical name.
-_apply_threshold_mask = _kernels.apply_threshold_mask
-
-
-def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -> None:
-    """``out = a @ kernel.weight_t + kernel.bias``, row-gathered when it pays.
-
-    When the run context's gate says the previous masked layer was sparse
-    enough, rows of ``a`` that are entirely zero (a receptive field the
-    previous mask killed completely, or a fully-masked sample) are skipped:
-    the output is prefilled with the bias — a zero row GEMMs to exactly the
-    bias — and only the surviving rows are multiplied.  Gathering preserves
-    each surviving row's reduction order, so both paths are bit-identical to
-    the dense matmul (both routed through
-    :func:`~repro.engine.kernels.matmul_rowsafe` so a single surviving row
-    still reduces in sgemm order).  Effective-MAC accounting lands in
-    ``ctx``.
-    """
-    rows = a.shape[0]
-    reduction, width = kernel.weight_t.shape
-    if ctx is not None and ctx.dynamic is not None and ctx.prev_sparsity >= ctx.dynamic.gate:
-        live = a.any(axis=1)
-        live_rows = int(np.count_nonzero(live))
-        if live_rows / rows <= ctx.dynamic.crossover_for(kernel.name):
-            out[:] = kernel.bias
-            if live_rows:
-                out[live] = _kernels.matmul_rowsafe(a[live], kernel.weight_t) + kernel.bias
-            ctx.dynamic_gemms += 1
-            ctx.effective_macs += live_rows * reduction * width
-            return
-    _kernels.matmul_rowsafe(a, kernel.weight_t, out=out)
-    out += kernel.bias
-    if ctx is not None:
-        ctx.effective_macs += rows * reduction * width
-
-
 class ConvGemmMaskKernel:
     """Fused convolution: im2col → GEMM → (optional) threshold mask.
 
@@ -254,24 +185,10 @@ class ConvGemmMaskKernel:
     ``weight_t``/``bias``; im2col gathers rows as runs of ``C_in`` contiguous
     values, so no strided element-wise copies remain.
 
-    **Dynamic sparse fast path** — when the run context says the previous
-    masked layer's measured batch sparsity cleared the configured gate, the
-    kernel checks which im2col rows (spatial output positions) have an
-    entirely-zero receptive field.  If the live fraction is below the
-    per-layer crossover it gathers the surviving rows, GEMMs the compacted
-    matrix, and scatters the results back over a bias-filled output (a zero
-    row's GEMM output is exactly the bias).  Row gathering leaves each
-    surviving row's reduction untouched, so the fast path is bit-identical to
-    the dense GEMM.
-
     **Variants** — ``self.variant`` selects among the lowerings in
     :mod:`repro.engine.kernels` (``"im2col"`` default, ``"blocked"``,
     ``"packed"``, ``"direct"``, ``"int8"``);
-    see that module for the exactness contract of each.  The
-    float-arithmetic variants defer to this path whenever the
-    dynamic gate is armed and the previous layer's sparsity cleared it, so
-    the row-gather fast path (and its bit-exactness) is preserved no matter
-    which variant the chooser picked.
+    see that module for the exactness contract of each.
     """
 
     kind = "conv"
@@ -326,13 +243,7 @@ class ConvGemmMaskKernel:
             record_range = getattr(recorder, "record_range", None)
             if record_range is not None:
                 record_range(task.name, self.name, float(np.abs(x).max()))
-        variant = self.variant
-        if variant != "im2col" and (
-            variant == "int8"
-            or ctx is None
-            or ctx.dynamic is None
-            or ctx.prev_sparsity < ctx.dynamic.gate
-        ):
+        if self.variant != "im2col":
             return _kernels.run_conv_variant(self, x, task, ws, recorder, ctx)
         n = x.shape[0]
         c_in, h, w = self.in_shape
@@ -360,20 +271,18 @@ class ConvGemmMaskKernel:
                 ]
 
         out = ws.get(self.uid, "out", n, (rows, c_out), dtype)
-        dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
-        _gemm_with_dynamic_row_gather(self, cols, out, ctx)
+        _kernels.matmul_rowsafe(cols, self.weight_t, out=out)
+        out += self.bias
         if ctx is not None:
+            ctx.effective_macs += rows * reduction * c_out
             ctx.dense_macs += n * self.dense_macs_per_image
-        used = "dynamic" if ctx is not None and ctx.dynamic_gemms > dynamic_before else "im2col"
         _kernels.record_variant_traffic(
-            recorder, used, *_kernels.conv_variant_traffic(self, n, "im2col")
+            recorder, "im2col", *_kernels.conv_variant_traffic(self, n, "im2col")
         )
 
         if self.mask is not None:
             gemm = out.reshape(n, h_out * w_out, c_out)
-            _apply_threshold_mask(self, gemm, task, ws, recorder, ctx, h_out * w_out)
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
+            _kernels.apply_threshold_mask(self, gemm, task, ws, recorder, h_out * w_out)
         return out.reshape(n, h_out, w_out, c_out)
 
 
@@ -499,8 +408,7 @@ class LinearMaskKernel:
     plan) from plain ReLU trunks (``mask_classifier_hidden=False``).
 
     **Variants** — ``"dense"`` (default), ``"blocked"``, ``"packed"``,
-    ``"int8"``; same dispatch and dynamic-gate fallback
-    rules as :class:`ConvGemmMaskKernel`.
+    ``"int8"``; same dispatch as :class:`ConvGemmMaskKernel`.
     """
 
     kind = "linear"
@@ -536,33 +444,24 @@ class LinearMaskKernel:
             record_range = getattr(recorder, "record_range", None)
             if record_range is not None:
                 record_range(task.name, self.name, float(np.abs(x).max()))
-        variant = self.variant
-        if variant != "dense" and (
-            variant == "int8"
-            or ctx is None
-            or ctx.dynamic is None
-            or ctx.prev_sparsity < ctx.dynamic.gate
-        ):
+        if self.variant != "dense":
             return _kernels.run_linear_variant(self, x, task, ws, recorder, ctx)
         n = x.shape[0]
-        out = ws.get(self.uid, "fc", n, (n, self.weight_t.shape[1]), x.dtype)
-        # Rows are samples here: the fast path skips samples whose whole
-        # feature vector was masked away.
-        dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
-        _gemm_with_dynamic_row_gather(self, x, out, ctx)
+        reduction, width = self.weight_t.shape
+        out = ws.get(self.uid, "fc", n, (n, width), x.dtype)
+        # Through matmul_rowsafe so a batch of one still reduces in sgemm order.
+        _kernels.matmul_rowsafe(x, self.weight_t, out=out)
+        out += self.bias
         if ctx is not None:
+            ctx.effective_macs += n * reduction * width
             ctx.dense_macs += n * self.dense_macs_per_image
-        used = "dynamic" if ctx is not None and ctx.dynamic_gemms > dynamic_before else "dense"
         _kernels.record_variant_traffic(
-            recorder, used, *_kernels.linear_variant_traffic(self, n, "dense")
+            recorder, "dense", *_kernels.linear_variant_traffic(self, n, "dense")
         )
         if self.mask is not None:
-            _apply_threshold_mask(self, out, task, ws, recorder, ctx, 1)
-        else:
-            if self.relu:
-                np.maximum(out, 0.0, out=out)
-            if ctx is not None:
-                ctx.prev_sparsity = 0.0
+            _kernels.apply_threshold_mask(self, out, task, ws, recorder, 1)
+        elif self.relu:
+            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -663,10 +562,6 @@ class EnginePlan:
     mask_specs: List[MaskSpec]
     tasks: Dict[str, TaskPlan] = field(default_factory=dict)
     head_permutation: Optional[np.ndarray] = None
-    #: None disables the dynamic sparse fast path; set via
-    #: :func:`repro.engine.specialize.enable_dynamic_sparse` or the autotuner
-    #: before serving starts (the plan is treated as immutable afterwards).
-    dynamic: Optional[DynamicSparseConfig] = None
     #: Per-kernel variant choices (kernel name -> variant), cached by
     #: :func:`repro.engine.kernels.autotune_kernel_variants` and carried
     #: through :class:`~repro.engine.planspec.PlanSpec` so spawned workers
@@ -708,9 +603,8 @@ class EnginePlan:
         (the plan's own default pool when omitted) and are reused across
         calls.
 
-        ``ctx`` carries the dynamic-sparse configuration and accumulates the
-        dense/effective MAC counts of this call; omit it and the plan builds a
-        throwaway context from its own :attr:`dynamic` config.
+        ``ctx`` accumulates the dense/effective MAC counts of this call; omit
+        it and the plan counts into a throwaway context.
 
         The plan itself is immutable after compilation, so concurrent threads
         may run different micro-batches over the same plan as long as each
@@ -743,8 +637,7 @@ class EnginePlan:
             )
         pool = workspaces if workspaces is not None else self._workspaces
         if ctx is None:
-            ctx = RunContext(self.dynamic)
-        ctx.prev_sparsity = 0.0  # the raw image batch is dense
+            ctx = RunContext()
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
         for kernel in self.kernels:
             x = kernel.run(x, task_plan, pool, recorder, ctx)
@@ -775,8 +668,7 @@ class EnginePlan:
         Exactness contract: bit-identical to running the same rows as
         per-task singular batches.  Every plan op is row-independent and the
         repo's GEMM paths preserve per-row reduction order under batch
-        regrouping (the same property the dynamic row-gather fast path is
-        built on), so neither the shared backbone pass nor the row-sliced
+        regrouping, so neither the shared backbone pass nor the row-sliced
         head GEMMs can change a single bit.
 
         ``task_plans`` overrides the threshold/head lookup (defaults to
@@ -815,8 +707,7 @@ class EnginePlan:
             )
         pool = workspaces if workspaces is not None else self._workspaces
         if ctx is None:
-            ctx = RunContext(self.dynamic)
-        ctx.prev_sparsity = 0.0
+            ctx = RunContext()
         n = x.shape[0]
         rows_of: Dict[str, List[int]] = {name: [] for name in unique}
         for row, name in enumerate(names):

@@ -6,8 +6,8 @@ uids, its default :class:`~repro.engine.plan.WorkspacePool` caches buffers
 that must never be shared between processes, and pickling NumPy views of a
 parent's buffers would silently alias memory.  A :class:`PlanSpec` is the
 transportable alternative — a plain-data snapshot of everything a plan *is*
-(kernel geometry, weight/bias/threshold tensors, task plans, dynamic-sparse
-config, specialization provenance) and nothing a plan *uses at run time*.
+(kernel geometry, weight/bias/threshold tensors, task plans, specialization
+provenance) and nothing a plan *uses at run time*.
 
 ``PlanSpec.from_plan(plan)`` captures a dense or specialized plan;
 ``spec.build()`` reconstructs a semantically identical plan with **fresh**
@@ -34,7 +34,6 @@ from repro.engine.plan import (
     ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
-    DynamicSparseConfig,
     EnginePlan,
     FlattenKernel,
     LinearMaskKernel,
@@ -329,7 +328,6 @@ class PlanSpec:
     mask_specs: List[Tuple[int, str, str, Tuple[int, ...]]]
     tasks: Dict[str, TaskSpec]
     head_permutation: Optional[np.ndarray] = None
-    dynamic: Optional[Tuple[float, float, Dict[str, float]]] = None
     specialization: Optional[Dict[str, object]] = None
     #: The chooser's per-kernel variant map (kernel name -> variant); the
     #: kernels' own ``variant`` fields are authoritative for execution, this
@@ -341,7 +339,9 @@ class PlanSpec:
     #: lazily in the worker rather than serialized.  Specs written before
     #: two lowerings were retired may also carry an int16 weight copy in
     #: their quant payloads (ignored on load) and name the retired variants
-    #: (mapped through ``_RETIRED_VARIANTS``).
+    #: (mapped through ``_RETIRED_VARIANTS``); older pickles may also carry a
+    #: ``dynamic`` attribute (a retired fast path's config), which unpickling
+    #: restores and :meth:`build` ignores.
     #: 4 = tensors captured through :meth:`PlanSetSpec.capture` are interned
     #: into the set-level shared table, with ``_TensorRef`` markers standing
     #: in here; only :meth:`PlanSetSpec.build_all` resolves them.
@@ -352,13 +352,6 @@ class PlanSpec:
     def from_plan(cls, plan: EnginePlan, intern=None) -> "PlanSpec":
         from repro.engine.specialize import SpecializedEnginePlan
 
-        dynamic = None
-        if plan.dynamic is not None:
-            dynamic = (
-                plan.dynamic.gate,
-                plan.dynamic.default_crossover,
-                dict(plan.dynamic.crossover),
-            )
         specialization = None
         if isinstance(plan, SpecializedEnginePlan):
             specialization = {
@@ -384,7 +377,6 @@ class PlanSpec:
                 if plan.head_permutation is not None
                 else None
             ),
-            dynamic=dynamic,
             specialization=specialization,
             kernel_choices=(
                 dict(plan.kernel_choices) if getattr(plan, "kernel_choices", None) else None
@@ -418,12 +410,6 @@ class PlanSpec:
         kernels = [_build_kernel(index, desc) for index, desc in enumerate(self.kernels)]
         mask_specs = [_mask_from_tuple(data) for data in self.mask_specs]
         tasks = {name: spec.build() for name, spec in self.tasks.items()}
-        dynamic = None
-        if self.dynamic is not None:
-            gate, default_crossover, crossover = self.dynamic
-            dynamic = DynamicSparseConfig(
-                gate=gate, default_crossover=default_crossover, crossover=dict(crossover)
-            )
         common = dict(
             dtype=np.dtype(self.dtype),
             input_shape=tuple(self.input_shape),
@@ -435,7 +421,6 @@ class PlanSpec:
                 if self.head_permutation is not None
                 else None
             ),
-            dynamic=dynamic,
             # getattr: version-1 pickles predate the field entirely.
             kernel_choices=(
                 {

@@ -40,18 +40,11 @@ Two compaction strategies are offered:
   reductions stay at dense width (BLAS GEMMs are bound by the ``M×K``
   panel), this mode roughly breaks even on CPU time; it exists to *prove* a
   specialization semantically correct, not to serve traffic.
-
-The dynamic sparse fast path's knobs also live here:
-:func:`enable_dynamic_sparse` switches it on with fixed thresholds and
-:func:`autotune_dynamic_crossover` measures, per layer, the live-row fraction
-below which gather→GEMM→scatter actually beats the dense GEMM on this
-machine, caching the result on the plan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,7 +56,6 @@ from repro.engine.plan import (
     ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
-    DynamicSparseConfig,
     EnginePlan,
     FlattenKernel,
     LinearMaskKernel,
@@ -76,8 +68,6 @@ __all__ = [
     "SpecializedEnginePlan",
     "specialize_plan",
     "specialize_tasks",
-    "enable_dynamic_sparse",
-    "autotune_dynamic_crossover",
 ]
 
 
@@ -467,7 +457,6 @@ def specialize_plan(
         mask_specs=mask_specs,
         tasks={task: task_plan},
         head_permutation=plan.head_permutation,
-        dynamic=plan.dynamic,
         source_task=task,
         dead_threshold=dead_threshold,
         compact_reduction=compact_reduction,
@@ -532,93 +521,3 @@ def specialize_tasks(
         )
         for name in names
     }
-
-
-# ---------------------------------------------------------------------------
-# Dynamic sparse fast path tuning.
-# ---------------------------------------------------------------------------
-def enable_dynamic_sparse(
-    plan: EnginePlan, gate: float = 0.5, crossover: float = 0.5
-) -> EnginePlan:
-    """Turn on the dynamic row-gather fast path with fixed thresholds.
-
-    ``gate`` is the minimum measured element sparsity of the previous masked
-    layer before a kernel computes row liveness at all; ``crossover`` is the
-    maximum live-row fraction at which the gathered GEMM is used.  Call
-    before serving starts — the plan is immutable once workers execute it.
-    """
-    if not 0.0 <= gate <= 1.0:
-        raise ValueError("gate must lie in [0, 1]")
-    if not 0.0 <= crossover <= 1.0:
-        raise ValueError("crossover must lie in [0, 1]")
-    plan.dynamic = DynamicSparseConfig(gate=gate, default_crossover=crossover)
-    return plan
-
-
-def _time_best(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def autotune_dynamic_crossover(
-    plan: EnginePlan,
-    batch: int = 8,
-    fractions: Sequence[float] = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75),
-    repeats: int = 3,
-    gate: float = 0.5,
-    seed: int = 0,
-) -> DynamicSparseConfig:
-    """Measure per-layer row-gather crossovers and cache them on ``plan``.
-
-    For every GEMM kernel the tuner times the dense matmul against the
-    gather→GEMM→scatter path at each candidate live-row ``fraction`` on
-    synthetic matrices of the kernel's true geometry, and keeps the largest
-    fraction at which the sparse path still wins.  A layer where the sparse
-    path never wins gets crossover 0.0, i.e. it always runs dense.  The
-    resulting config is stored on ``plan.dynamic`` and returned.
-
-    Crossovers are geometry-specific: tune the plan you intend to serve — a
-    specialized plan's compacted GEMMs have different economics than the
-    dense plan's, so autotune each separately rather than reusing one config.
-    """
-    if batch <= 0:
-        raise ValueError("batch must be positive")
-    rng = np.random.default_rng(seed)
-    crossover: Dict[str, float] = {}
-    for kernel in plan.kernels:
-        if isinstance(kernel, ConvGemmMaskKernel):
-            rows = batch * kernel.out_shape[1] * kernel.out_shape[2]
-        elif isinstance(kernel, LinearMaskKernel):
-            rows = batch
-        else:
-            continue
-        k_dim, n_dim = kernel.weight_t.shape
-        weight = rng.normal(size=(k_dim, n_dim)).astype(plan.dtype)
-        dense_in = rng.normal(size=(rows, k_dim)).astype(plan.dtype)
-        out = np.empty((rows, n_dim), dtype=plan.dtype)
-        dense_time = _time_best(lambda: np.matmul(dense_in, weight, out=out), repeats)
-
-        best = 0.0
-        for fraction in sorted(fractions):
-            live_rows = max(1, int(round(fraction * rows)))
-            sparse_in = np.zeros((rows, k_dim), dtype=plan.dtype)
-            index = rng.choice(rows, size=live_rows, replace=False)
-            sparse_in[index] = rng.normal(size=(live_rows, k_dim))
-
-            def sparse_path() -> None:
-                live = sparse_in.any(axis=1)
-                out[:] = 0.0
-                out[live] = sparse_in[live] @ weight
-
-            if _time_best(sparse_path, repeats) < dense_time:
-                best = fraction
-            else:
-                break
-        crossover[kernel.name] = best
-    config = DynamicSparseConfig(gate=gate, default_crossover=0.0, crossover=crossover)
-    plan.dynamic = config
-    return config

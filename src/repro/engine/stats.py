@@ -240,7 +240,7 @@ class SparsityRecorder:
         """Physical work per executed kernel variant: calls, MACs, bytes.
 
         Keys are variant names (``im2col``, ``blocked``, ``packed``,
-        ``direct``, ``int8``, ``dense``, ``dynamic``, ``pool-reshape``,
+        ``direct``, ``int8``, ``dense``, ``pool-reshape``,
         ``pool-views``); values carry what each variant actually executed —
         the observability face of the per-layer kernel chooser.
         """

@@ -55,8 +55,6 @@ def add_workload_arguments(sub: argparse.ArgumentParser, default_requests: int) 
     sub.add_argument("--exact-specialize", action="store_true",
                      help="bit-exact specialization (scatter mode): logits match the "
                           "dense plan bit for bit, at the cost of the throughput win")
-    sub.add_argument("--dynamic", action="store_true",
-                     help="autotune and enable the dynamic sparse row-gather fast path")
     sub.add_argument("--kernels",
                      choices=["default", "auto", "im2col", "blocked", "packed",
                               "direct"],
@@ -181,13 +179,8 @@ def maybe_specialize(args: argparse.Namespace, plan, profile=None) -> Dict[str, 
     its own geometry (a compacted GEMM can prefer a different variant than
     its dense ancestor, so the chooser reruns per plan).
     """
-    from repro.engine import autotune_dynamic_crossover, specialize_tasks
+    from repro.engine import specialize_tasks
 
-    dynamic = getattr(args, "dynamic", False)
-    if dynamic:
-        config = autotune_dynamic_crossover(plan, batch=args.micro_batch, seed=args.seed)
-        tuned = ", ".join(f"{name}={value:.2f}" for name, value in config.crossover.items())
-        print(f"dynamic sparse fast path: autotuned crossovers {{{tuned}}}")
     if not getattr(args, "specialize", False):
         configure_kernel_variants(args, plan, profile=profile, label="dense plan")
         return {}
@@ -200,11 +193,6 @@ def maybe_specialize(args: argparse.Namespace, plan, profile=None) -> Dict[str, 
     )
     configure_kernel_variants(args, plan, profile=profile, label="dense plan")
     for name, spec in sorted(specialized.items()):
-        if dynamic:
-            # Crossovers are geometry-specific: the compacted GEMMs have
-            # different gather-vs-dense economics than the dense plan's, so
-            # each specialized plan gets its own measured config.
-            autotune_dynamic_crossover(spec, batch=args.micro_batch, seed=args.seed)
         # Specialization resets variants (new geometry); ranges measured on
         # the dense plan do not transfer to compacted activations, so each
         # specialized plan calibrates and chooses for itself.

@@ -42,13 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.engine import recorder_hardware_report
-from repro.engine.plan import (
-    DynamicSparseConfig,
-    EnginePlan,
-    RunContext,
-    TaskPlan,
-    WorkspacePool,
-)
+from repro.engine.plan import EnginePlan, RunContext, TaskPlan, WorkspacePool
 from repro.engine.scheduling import MicroBatch, SchedulingPolicy, get_policy
 from repro.engine.specialize import coalescing_signature
 from repro.engine.stats import SparsityRecorder
@@ -69,7 +63,6 @@ from repro.serving.stream import MetricsStream
 
 def run_plan_batch(
     plan: EnginePlan,
-    fallback_dynamic: Optional[DynamicSparseConfig],
     images: np.ndarray,
     task: str,
     recorder: SparsityRecorder,
@@ -79,11 +72,9 @@ def run_plan_batch(
 ) -> np.ndarray:
     """Execute one micro-batch over ``plan`` with full stats accounting.
 
-    The single worker-side step shared by every backend: builds the run
-    context (falling back to the shared dense plan's dynamic config so
-    enabling the fast path after specialization still applies to specialized
-    batches), runs the plan, and records the pass and its MAC counts into
-    ``recorder``.
+    The single worker-side step shared by every backend: runs the plan
+    under a fresh MAC-counting context and records the pass and its MAC
+    counts into ``recorder``.
 
     ``row_tasks`` (set for coalesced batches) names each row's owning task
     and routes execution through :meth:`EnginePlan.run_mixed`; passes are
@@ -92,7 +83,7 @@ def run_plan_batch(
     mixed pseudo-task.  ``task_plans`` optionally overrides the per-task
     threshold/head lookup (group-leader execution of specialized plans).
     """
-    ctx = RunContext(plan.dynamic if plan.dynamic is not None else fallback_dynamic)
+    ctx = RunContext()
     if row_tasks is not None:
         logits = plan.run_mixed(
             images, row_tasks, task_plans=task_plans,

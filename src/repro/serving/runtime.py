@@ -101,7 +101,7 @@ class ServingRuntime(BaseRuntime):
         plan, task_plans, row_tasks = plans.execution_for(batch)
         try:
             logits = run_plan_batch(
-                plan, plans.plan.dynamic, images, batch.task, self.recorder, pool,
+                plan, images, batch.task, self.recorder, pool,
                 row_tasks=row_tasks, task_plans=task_plans,
             )
         except Exception as error:  # pragma: no cover - defensive: surface, don't die

@@ -268,7 +268,7 @@ def _shard_worker_main(
                         for name in set(row_tasks)
                     }
                 logits = run_plan_batch(
-                    exec_plan, plan.dynamic, images, task, recorder, pool,
+                    exec_plan, images, task, recorder, pool,
                     row_tasks=row_tasks, task_plans=task_plans,
                 )
             except Exception as error:

@@ -210,9 +210,10 @@ class TestModelArtifactIntegrity:
 
 # ------------------------------------------------- retired kernel variants --
 class TestRetiredVariantNames:
-    """Specs and artifacts written before two kernel lowerings were retired
-    still load: their variant names map onto the surviving variants that run
-    the same arithmetic, and a stored int16 weight copy is ignored."""
+    """Specs and artifacts written before two kernel lowerings and the
+    row-gather fast path were retired still load: their variant names map
+    onto the surviving variants that run the same arithmetic, and a stored
+    int16 weight copy and dynamic-sparse config are ignored."""
 
     @staticmethod
     def legacy_spec(quantized):
@@ -228,6 +229,9 @@ class TestRetiredVariantNames:
         spec.kernel_choices = {desc["name"]: desc["variant"] for desc in convs + linears}
         quant = convs[1]["quant"]
         quant["weight_qi"] = np.asarray(quant["weight_q"]).astype(np.int16)
+        # The (gate, default crossover, per-layer crossovers) field of the
+        # retired row-gather fast path.
+        spec.dynamic = (0.5, 0.5, {"gemm0": 0.25})
         return spec
 
     def test_legacy_spec_and_artifact_load_and_run_bit_identically(self, workload, tmp_path):
@@ -247,7 +251,9 @@ class TestRetiredVariantNames:
         artifact = ModelArtifact.from_plans("legacy", plan)
         artifact.plan_spec = legacy
         artifact.save(tmp_path / "bundle")
-        from_artifact, _ = ModelArtifact.load(tmp_path / "bundle").build_plans()
+        loaded = ModelArtifact.load(tmp_path / "bundle")
+        assert loaded.plan_spec.dynamic == legacy.dynamic
+        from_artifact, _ = loaded.build_plans()
 
         batch = make_batch(plan, seed=15)
         for rebuilt in (legacy.build(), from_artifact):

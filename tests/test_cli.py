@@ -118,11 +118,13 @@ class TestSpecializationFlags:
     def test_parser_accepts_specialization_arguments(self):
         args = build_parser().parse_args([
             "serve-bench", "--dead-fraction", "0.5", "--specialize",
-            "--dead-threshold", "0.1", "--dynamic", "--exact-specialize",
+            "--dead-threshold", "0.1", "--exact-specialize",
         ])
         assert args.dead_fraction == 0.5
-        assert args.specialize and args.dynamic and args.exact_specialize
+        assert args.specialize and args.exact_specialize
         assert args.dead_threshold == 0.1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", "--specialize", "--dynamic"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--dead-fraction", "1.5"])
         with pytest.raises(SystemExit):
@@ -139,14 +141,13 @@ class TestSpecializationFlags:
         assert "effective MACs" in output
         assert "% avoided in software" in output
 
-    def test_serve_with_specialization_and_dynamic(self, capsys):
+    def test_serve_with_specialization(self, capsys):
         assert main([
             "serve", "--requests", "12", "--rate", "2000", "--workers", "2",
             "--micro-batch", "4", "--tasks", "2", "--dead-fraction", "0.5",
-            "--specialize", "--dynamic",
+            "--specialize",
         ]) == 0
         output = capsys.readouterr().out
-        assert "dynamic sparse fast path: autotuned crossovers" in output
         assert "specialized plan for task0" in output
         assert "% avoided in software" in output
 
@@ -175,10 +176,11 @@ class TestLifecycleCommands:
         assert main([
             "serve", "--artifact", str(store_dir), "--requests", "12",
             "--rate", "2000", "--workers", "2", "--micro-batch", "4",
-            "--recalibrate", "--recalibrate-min-images", "512",
+            "--recalibrate", "--recalibrate-min-images", "512", "--exact-specialize",
         ]) == 0
         output = capsys.readouterr().out
         assert "artifact 'mime'" in output
+        assert "--specialize/--exact-specialize/--kernels/--int8) are ignored" in output
         assert "recalibration events" in output
         assert "insufficient traffic" in output  # min-images far above the run
 

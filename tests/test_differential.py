@@ -1,9 +1,9 @@
 """Differential property harness: every execution path must tell one story.
 
-The repo now carries five semantically-equivalent ways to run the same
-network — the float training path (``MimeNetwork.forward``), the compiled
-dense plan (``EnginePlan.run``), compact and bit-exact specialized plans,
-the dynamic sparse row-gather fast path, and process-sharded serving — and
+The repo carries four semantically-equivalent ways to run the same network
+— the float training path (``MimeNetwork.forward``), the compiled dense plan
+(``EnginePlan.run``), compact and bit-exact specialized plans, and
+process-sharded serving — and
 hand-written tests alone cannot keep them honest as each evolves.  This
 harness generates ≥50 seeded random cases (architecture × task × batch
 shape × inputs) and asserts the whole equivalence lattice on every one:
@@ -11,7 +11,6 @@ shape × inputs) and asserts the whole equivalence lattice on every one:
 * dense plan ≈ training forward (both float64; different kernel
   implementations, so allclose at tight tolerance);
 * bit-exact specialization == dense plan, **bit for bit**;
-* dynamic sparse (forced on for every GEMM) == dense plan, **bit for bit**;
 * compact specialization ≈ dense plan (ULP-level: reduction regrouping);
 * process-sharded serving == dense plan, **bit for bit**, across the spawn
   + PlanSpec + shared-memory-ring boundary;
@@ -43,9 +42,7 @@ import pytest
 
 from repro.engine import (
     CalibrationProfile,
-    DynamicSparseConfig,
     PlanSpec,
-    RunContext,
     calibrate_plan,
     compile_network,
 )
@@ -221,19 +218,6 @@ def test_compact_specialization_matches_to_ulp(arch):
             rtol=1e-9,
             atol=1e-12,
             err_msg=f"arch seed {arch.seed}, task {case.task}",
-        )
-
-
-def test_dynamic_sparse_fast_path_is_bit_identical(arch):
-    # gate=0 + crossover=1 forces the row-gather path onto *every* GEMM, the
-    # strongest version of its bit-exactness claim.
-    for case in arch.cases:
-        dense = arch.plan.run(case.images, case.task)
-        ctx = RunContext(DynamicSparseConfig(gate=0.0, default_crossover=1.0))
-        dynamic = arch.plan.run(case.images, case.task, ctx=ctx)
-        assert ctx.dynamic_gemms > 0, "the forced fast path never engaged"
-        np.testing.assert_array_equal(
-            dynamic, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
         )
 
 

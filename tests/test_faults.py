@@ -400,11 +400,13 @@ class TestSupervision:
             max_retries=3,
         )
         stream = deterministic_stream(plan, per_task=4, seed=29)
-        futures = [runtime.submit(task, image) for task, image in stream]
         runtime.start()
         try:
+            # The hang is queued on the worker's task queue before any batch,
+            # so no batch can finish with logits before the crash lands.
             injector = FaultInjector(runtime)
             injector.hang(0, 30.0)
+            futures = [runtime.submit(task, image) for task, image in stream]
             wait_until(
                 lambda: runtime._shards[0].inflight > 0,
                 message="dispatched batches on the only shard",

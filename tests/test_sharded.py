@@ -21,7 +21,6 @@ from repro.engine import (
     WorkspacePool,
     calibrate_plan,
     compile_network,
-    enable_dynamic_sparse,
     specialize_tasks,
 )
 from repro.mime import MimeNetwork, add_structured_sparsity_task
@@ -114,17 +113,6 @@ class TestPlanSpec:
             np.testing.assert_array_equal(
                 spec_plan.run(batch, name), rebuilt.run(batch, name)
             )
-
-    def test_dynamic_config_survives_the_round_trip(self, served):
-        _, plan = served
-        try:
-            enable_dynamic_sparse(plan, gate=0.25, crossover=0.75)
-            rebuilt = PlanSpec.from_plan(plan).build()
-        finally:
-            plan.dynamic = None
-        assert rebuilt.dynamic is not None
-        assert rebuilt.dynamic.gate == 0.25
-        assert rebuilt.dynamic.default_crossover == 0.75
 
 
 # ------------------------------------------------------------ ShardedRuntime --

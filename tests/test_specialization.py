@@ -1,12 +1,12 @@
-"""Sparsity-exploiting plan specialization and the dynamic sparse fast path.
+"""Sparsity-exploiting plan specialization.
 
 Covers the PR's acceptance properties: calibration measuring per-channel
 survival (engine- and mime-side, JSON round-trip), dead-channel elimination
 producing bit-identical live-channel logits in the exact mode (every
 registered architecture, every scheduling policy, 4-worker serving runtime),
-ULP-level equivalence of the default throughput mode, the bit-exact dynamic
-row-gather fast path with its autotuner, and effective-MAC accounting from
-``EngineRunStats`` through the recorder into the hardware scenario report.
+ULP-level equivalence of the default throughput mode, and effective-MAC
+accounting from ``EngineRunStats`` through the recorder into the hardware
+scenario report.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ from repro.engine import (
     CalibrationProfile,
     CompileError,
     MultiTaskEngine,
-    RunContext,
     SCHEDULING_MODES,
     SparsityRecorder,
     SpecializedEnginePlan,
-    autotune_dynamic_crossover,
     calibrate_plan,
     compile_network,
-    enable_dynamic_sparse,
     profile_from_network,
     specialize_plan,
     specialize_tasks,
@@ -346,72 +343,6 @@ def test_serving_runtime_rejects_specialized_plan_for_unknown_task(plan, batch):
     spec = specialize_plan(plan, "alpha", profile)
     with pytest.raises(KeyError):
         ServingRuntime(plan, specialized={"stranger": spec})
-
-
-# ------------------------------------------------------------ dynamic fast path --
-def _high_sparsity_network():
-    """A task whose thresholds kill almost everything: many GEMM rows die."""
-    rng = np.random.default_rng(5)
-    backbone = vgg_tiny(num_classes=6, input_size=16, in_channels=3, rng=rng)
-    net = MimeNetwork(backbone)
-    net.eval()
-    task = net.add_task("sparse", 4, rng=rng)
-    for param in task.thresholds:
-        param.data[:] = 3.0  # survives only on extreme activations
-    return net
-
-
-def test_dynamic_row_gather_is_bit_identical_and_saves_macs(batch):
-    net = _high_sparsity_network()
-    reference = compile_network(net, dtype=np.float64).run(batch, "sparse")
-    plan = compile_network(net, dtype=np.float64)
-    enable_dynamic_sparse(plan, gate=0.2, crossover=1.0)
-    ctx = RunContext(plan.dynamic)
-    out = plan.run(batch, "sparse", ctx=ctx)
-    np.testing.assert_array_equal(reference, out)
-    assert ctx.dynamic_gemms > 0
-    assert ctx.effective_macs < ctx.dense_macs
-    assert 0.0 < ctx.mac_reduction() < 1.0
-
-
-def test_dynamic_gate_keeps_dense_traffic_dense(plan, batch):
-    # Thresholds of the fixture's *live* channels are small, but the first
-    # conv sees a dense image: prev_sparsity starts at 0, so with a high gate
-    # nothing triggers and the run is the plain dense execution.
-    enable_dynamic_sparse(plan, gate=1.0, crossover=1.0)
-    ctx = RunContext(plan.dynamic)
-    out = plan.run(batch, "alpha", ctx=ctx)
-    assert ctx.dynamic_gemms == 0
-    assert ctx.effective_macs == ctx.dense_macs
-    fresh = compile_network_like(plan, batch)
-    np.testing.assert_array_equal(out, fresh)
-
-
-def compile_network_like(plan, batch):
-    """Dense reference run through the same plan without dynamic config."""
-    saved, plan.dynamic = plan.dynamic, None
-    try:
-        return plan.run(batch, "alpha")
-    finally:
-        plan.dynamic = saved
-
-
-def test_enable_dynamic_sparse_validation(plan):
-    with pytest.raises(ValueError):
-        enable_dynamic_sparse(plan, gate=1.5)
-    with pytest.raises(ValueError):
-        enable_dynamic_sparse(plan, crossover=-0.1)
-
-
-def test_autotune_caches_per_layer_crossovers(plan):
-    config = autotune_dynamic_crossover(plan, batch=2, fractions=(0.25, 0.5), repeats=1)
-    assert plan.dynamic is config
-    gemm_names = [k.name for k in plan.kernels if hasattr(k, "weight_t")]
-    assert sorted(config.crossover) == sorted(gemm_names)
-    for value in config.crossover.values():
-        assert 0.0 <= value <= 1.0
-    # Unknown layers fall back to the default crossover.
-    assert config.crossover_for("unknown") == config.default_crossover
 
 
 # ------------------------------------------------------------- MAC accounting --

@@ -28,7 +28,7 @@ per-row mask epilogue.  Three properties are asserted:
   level — BLAS reduces single-row GEMMs in a different order — so the exact
   contract is same-rows, not same-request-under-any-batching);
 * the deduplicated plan memory stays flat: a 100-task ``PlanSet`` (per-task
-  bit-exact specialized plans) holds at most 3x the *shared* plan bytes of a
+  pass-through specialized plans) holds at most 3x the *shared* plan bytes of a
   single-task set, and the v4 ``PlanSetSpec`` pickle a sharded spawn ships
   carries the backbone once (at least 4x smaller than the per-task-copy
   capture).
@@ -50,7 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import autotune_kernel_variants, compile_network, specialize_tasks
+from repro.engine import (
+    CalibrationProfile,
+    autotune_kernel_variants,
+    compile_network,
+    specialize_tasks,
+)
 from repro.engine.planspec import PlanSetSpec
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_small, vgg_tiny
@@ -322,11 +327,13 @@ def test_plan_memory_and_spawn_pickle_stay_flat(smoke):
     """
     num_tasks = 40 if smoke else 100
     plan = _build_plan(num_tasks, smoke=True)
-    # Bit-exact specialization maximises pass-through sharing: every array a
-    # per-task plan does not reshape stays the dense plan's own object.
-    specialized = specialize_tasks(plan, compact_reduction=False)
+    # An all-live profile makes every per-task plan a pass-through
+    # specialization: each array stays the dense plan's own object.
+    specialized = specialize_tasks(plan, profile=CalibrationProfile.all_live(plan))
     single_plan = _build_plan(1, smoke=True)
-    single_specialized = specialize_tasks(single_plan, compact_reduction=False)
+    single_specialized = specialize_tasks(
+        single_plan, profile=CalibrationProfile.all_live(single_plan)
+    )
 
     many = PlanSet(plan, specialized)
     single = PlanSet(single_plan, single_specialized)
@@ -340,7 +347,7 @@ def test_plan_memory_and_spawn_pickle_stay_flat(smoke):
     plain_bytes = len(pickle.dumps(plain))
 
     print()
-    print(f"Plan memory at {num_tasks} tasks (vgg_tiny, bit-exact specialized):")
+    print(f"Plan memory at {num_tasks} tasks (vgg_tiny, pass-through specialized):")
     print(f"  shared plan bytes      : {many_shared:12,d} "
           f"({many_shared / single_shared:.2f}x single-task)")
     print(f"  per-task payload       : {per_task:12,.0f} bytes/task "

@@ -5,12 +5,12 @@ pipeline on a workload with paper-level per-task structured sparsity (~65% of
 every masked layer's channels structurally dead per task, cf. Table II's
 0.5-0.9 layerwise sparsity).  Two properties are asserted:
 
-* the default (throughput-mode) specialized plans deliver at least
+* the specialized plans deliver at least
   ``SPECIALIZATION_MIN_SPEEDUP``x (1.3x; 1.15x under ``--smoke``) the
   images/sec of the dense plan on the same pipelined request stream;
 * specialization never changes *what* is computed: effective MACs drop
-  while outputs stay ULP-equivalent (the bit-exact mode is covered by the
-  tier-1 suite).
+  while outputs stay ULP-equivalent (the tier-1 differential suite pins the
+  float64 tolerance).
 
 Set ``BENCH_RECORD=path.json`` to append this run's numbers to the
 ``BENCH_specialization.json`` trajectory file.
@@ -99,13 +99,11 @@ def test_specialized_plans_beat_dense_throughput(smoke):
     num_requests = 48 if smoke else 96
     network = _build_network()
     plan = compile_network(network, dtype=np.float32)
-    specialized = specialize_tasks(plan)  # default: throughput mode
-    exact = specialize_tasks(plan, compact_reduction=False)
+    specialized = specialize_tasks(plan)
     images, tasks = _request_stream(num_requests)
 
     dense_ips = _drain_throughput(plan, {}, images, tasks)
     spec_ips = _drain_throughput(plan, specialized, images, tasks)
-    exact_ips = _drain_throughput(plan, exact, images, tasks)
 
     mac_reduction = float(np.mean([s.mac_reduction() for s in specialized.values()]))
     print()
@@ -113,10 +111,8 @@ def test_specialized_plans_beat_dense_throughput(smoke):
           f"{len(TASKS)} tasks, ~{100 * DEAD_FRACTION:.0f}% dead channels/task, "
           f"{num_requests} pipelined requests):")
     print(f"  dense plan            : {dense_ips:8.1f} images/sec")
-    print(f"  specialized (default) : {spec_ips:8.1f} images/sec "
+    print(f"  specialized plans     : {spec_ips:8.1f} images/sec "
           f"({spec_ips / dense_ips:.2f}x, {100 * mac_reduction:.1f}% MACs avoided)")
-    print(f"  specialized (bit-exact): {exact_ips:7.1f} images/sec "
-          f"({exact_ips / dense_ips:.2f}x; verification mode)")
 
     # Equivalence spot check on one micro-batch per task.  float32 GEMM
     # reassociation can flip a mask bit for pre-activations within an ULP of
@@ -136,7 +132,6 @@ def test_specialized_plans_beat_dense_throughput(smoke):
         "smoke": smoke,
         "dense_ips": round(dense_ips, 1),
         "specialized_ips": round(spec_ips, 1),
-        "exact_ips": round(exact_ips, 1),
         "speedup": round(spec_ips / dense_ips, 3),
         "mac_reduction": round(mac_reduction, 4),
     })

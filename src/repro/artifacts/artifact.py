@@ -139,10 +139,17 @@ class ModelArtifact:
 
         Rebuilt plans have fresh kernel uids and empty workspace pools (the
         :class:`~repro.engine.PlanSpec` contract), and produce bit-identical
-        logits to the plans that were captured.
+        logits to the plans that were captured.  A specialization captured by
+        the retired bit-exact strategy (``compact_reduction=False``) served
+        the dense plan's logits by its own contract, so it is left out and
+        its task serves from the dense plan.
         """
         plan = self.plan_spec.build()
-        specialized = {task: spec.build() for task, spec in self.specialized_specs.items()}
+        specialized = {
+            task: spec.build()
+            for task, spec in self.specialized_specs.items()
+            if (spec.specialization or {}).get("compact_reduction") is not False
+        }
         return plan, specialized
 
     def task_names(self) -> list:

@@ -304,13 +304,13 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     baseline = None
     if args.artifact:
         if (
-            args.specialize or args.exact_specialize or args.dead_fraction
+            args.specialize or args.dead_fraction
             or args.kernels != "default" or args.int8
         ):
             print(
                 "note: --artifact supplies the plans as published; the workload/"
                 "specialization flags (--model/--tasks/--dead-fraction/"
-                "--specialize/--exact-specialize/--kernels/--int8) are ignored"
+                "--specialize/--kernels/--int8) are ignored"
             )
         artifact, store = load_artifact_plans(args.artifact)
         plan, specialized = artifact.build_plans()
@@ -450,7 +450,6 @@ def _cmd_export(args: argparse.Namespace) -> None:
             "seed": args.seed,
             "dead_fraction": args.dead_fraction,
             "specialize": bool(specialized),
-            "exact_specialize": bool(getattr(args, "exact_specialize", False)),
         },
     )
     store = ModelStore(args.store)

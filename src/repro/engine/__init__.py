@@ -38,7 +38,6 @@ package provides the dedicated inference path:
 """
 
 from repro.engine.plan import (
-    ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
     EnginePlan,
@@ -101,7 +100,6 @@ from repro.engine.stats import SparsityRecorder
 
 __all__ = [
     "CalibrationProfile",
-    "ChannelScatterKernel",
     "ChannelSurvivalRecorder",
     "CompileError",
     "ConvGemmMaskKernel",

@@ -118,6 +118,19 @@ class CalibrationProfile:
     #: (and for :func:`profile_from_network`, which never runs the kernels).
     ranges: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
+    @classmethod
+    def all_live(cls, plan) -> "CalibrationProfile":
+        """Every channel of every task survives: specializing against it
+        eliminates nothing, so each per-task plan passes the dense plan's
+        arrays through by identity."""
+        return cls(
+            survival={
+                task: {spec.layer_name: np.ones(spec.gemm_shape[-1]) for spec in plan.mask_specs}
+                for task in plan.task_names()
+            },
+            num_images={task: 1 for task in plan.task_names()},
+        )
+
     def tasks(self) -> List[str]:
         return list(self.survival)
 

@@ -13,7 +13,10 @@ grouped into per-task micro-batches and executed under a pluggable
   scenario where MIME's O(1) threshold-only switch pays off most);
 * ``"fifo-deadline"`` / ``"weighted-fair"`` — arrival/deadline- and
   share-ordered policies shared with the online
-  :class:`~repro.serving.ServingRuntime`.
+  :class:`~repro.serving.ServingRuntime`;
+* ``"coalescing"`` — deadline-first, then sticky to the current coalescing
+  group, the policy of the many-task regime where one batch mixes the rows
+  of tasks sharing a backbone.
 
 Results always come back in submission order regardless of the execution
 order, and every run records achieved per-layer sparsity into a
@@ -166,7 +169,6 @@ class MultiTaskEngine:
         profile=None,
         tasks: Optional[Sequence[str]] = None,
         dead_threshold: float = 0.0,
-        compact_reduction: bool = True,
         calibration_batch: int = 32,
         calibration_seed: int = 0,
     ) -> Dict[str, EnginePlan]:
@@ -183,7 +185,6 @@ class MultiTaskEngine:
                 profile=profile,
                 tasks=tasks,
                 dead_threshold=dead_threshold,
-                compact_reduction=compact_reduction,
                 calibration_batch=calibration_batch,
                 calibration_seed=calibration_seed,
             )

@@ -126,8 +126,7 @@ _PACKED_PANEL_BYTES = 1 << 18
 #: reduce each column independently of its neighbours, so micro-tile-aligned
 #: cuts are the *candidate* boundaries at which a panel GEMM can reproduce
 #: the full-width GEMM's per-column reduction order.  16 covers the NR
-#: widths of OpenBLAS/BLIS/MKL x86 double/single micro-kernels (4/8/16); the
-#: same granularity dead-channel compaction pads to, for the same reason.
+#: widths of OpenBLAS/BLIS/MKL x86 double/single micro-kernels (4/8/16).
 #: Alignment alone is necessary but not sufficient — some BLAS builds switch
 #: whole code paths (small-matrix kernels, threading splits) on the call
 #: geometry — so :func:`packed_weight_panels` additionally *proves* each

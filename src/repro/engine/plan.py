@@ -125,7 +125,7 @@ class WorkspacePool:
         rebuilt and swapped in one assignment, and a concurrently-running
         kernel that loses a buffer mid-batch simply gets a fresh zeroed one
         on its next ``get`` (fresh zeroed buffers are always valid: the
-        pad-border and scatter kernels rely only on zero-from-allocation).
+        pad borders rely only on zero-from-allocation).
         """
         owners = set(owners)
         # Iterate a snapshot: a concurrent get() may insert mid-rebuild, and
@@ -143,7 +143,7 @@ class WorkspacePool:
 #: would be recycled by the allocator after a plan is garbage collected, and
 #: a recycled key with matching geometry would hand a *stale* buffer to a new
 #: kernel — breaking the zero-from-allocation-time invariant the pad borders
-#: and scatter kernels rely on.  A monotonic counter can never collide.
+#: rely on.  A monotonic counter can never collide.
 _KERNEL_UIDS = itertools.count()
 
 
@@ -364,41 +364,6 @@ class FlattenKernel:
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
-
-
-class ChannelScatterKernel:
-    """Scatter compacted live channels back onto a dense zero background.
-
-    A specialized plan's masked GEMMs emit only the task's live channels.
-    Before a consumer whose weights are laid out for the dense channel order
-    (the next convolution's im2col, the flatten boundary, the FC head), this
-    kernel writes the live channels into their original positions of a dense
-    workspace buffer.  Dead positions are **never written**: they stay zero
-    from allocation time (the same invariant as the conv pad border), and
-    since the dense plan's dead channels are exactly zero after masking, the
-    consumer sees bit-identical inputs while the producer GEMM did only the
-    live columns' work.
-
-    Works on any channels-last layout — NHWC feature maps and flat ``(N, F)``
-    feature vectors alike; only the trailing axis is scattered.
-    """
-
-    kind = "scatter"
-
-    def __init__(self, index: int, live_index: np.ndarray, dense_channels: int) -> None:
-        self.index = index
-        self.uid = next(_KERNEL_UIDS)
-        self.live_index = np.ascontiguousarray(live_index, dtype=np.intp)
-        self.dense_channels = int(dense_channels)
-
-    def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
-        n = x.shape[0]
-        shape = x.shape[:-1] + (self.dense_channels,)
-        out = ws.get(self.uid, "scatter", n, shape, x.dtype)
-        # The incoming stream carries the live channels first; anything after
-        # them is zero padding lanes that must not land in a dense position.
-        out[..., self.live_index] = x[..., : self.live_index.shape[0]]
-        return out
 
 
 class LinearMaskKernel:

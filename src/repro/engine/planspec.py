@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.engine.kernels import QuantizedGemm
 from repro.engine.plan import (
-    ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
     EnginePlan,
@@ -240,12 +239,6 @@ def _describe_kernel(kernel, intern=None) -> Dict[str, object]:
         }
     if isinstance(kernel, FlattenKernel):
         return {"type": "flatten"}
-    if isinstance(kernel, ChannelScatterKernel):
-        return {
-            "type": "scatter",
-            "live_index": _arr(kernel.live_index, intern),
-            "dense_channels": kernel.dense_channels,
-        }
     raise CompileError(f"cannot serialize kernel type {type(kernel).__name__}")
 
 
@@ -305,8 +298,10 @@ def _build_kernel(index: int, desc: Dict[str, object]):
     if kind == "flatten":
         return FlattenKernel(index)
     if kind == "scatter":
-        return ChannelScatterKernel(
-            index, np.asarray(desc["live_index"]), desc["dense_channels"]
+        raise CompileError(
+            "this spec was specialized by the retired bit-exact scatter strategy, "
+            "which served the dense plan's logits; re-specialize the task from "
+            "the dense plan (or serve it from the dense plan)"
         )
     raise CompileError(f"cannot deserialize kernel type '{kind}'")
 
@@ -341,7 +336,10 @@ class PlanSpec:
     #: their quant payloads (ignored on load) and name the retired variants
     #: (mapped through ``_RETIRED_VARIANTS``); older pickles may also carry a
     #: ``dynamic`` attribute (a retired fast path's config), which unpickling
-    #: restores and :meth:`build` ignores.
+    #: restores and :meth:`build` ignores.  Specializations captured by the
+    #: retired bit-exact strategy carry ``compact_reduction=False`` and
+    #: ``scatter`` kernels, which :meth:`build` refuses (see
+    #: :meth:`repro.artifacts.ModelArtifact.build_plans`).
     #: 4 = tensors captured through :meth:`PlanSetSpec.capture` are interned
     #: into the set-level shared table, with ``_TensorRef`` markers standing
     #: in here; only :meth:`PlanSetSpec.build_all` resolves them.
@@ -357,7 +355,6 @@ class PlanSpec:
             specialization = {
                 "source_task": plan.source_task,
                 "dead_threshold": plan.dead_threshold,
-                "compact_reduction": plan.compact_reduction,
                 "live_channels": {
                     layer: _arr(live, intern) for layer, live in plan.live_channels.items()
                 },
@@ -438,7 +435,6 @@ class PlanSpec:
             **common,
             source_task=extra["source_task"],
             dead_threshold=extra["dead_threshold"],
-            compact_reduction=extra["compact_reduction"],
             live_channels={
                 layer: np.asarray(live) for layer, live in extra["live_channels"].items()
             },

@@ -14,11 +14,14 @@ they hit the compiled plan?  A :class:`SchedulingPolicy` answers it twice:
 The two built-in modes mirror the paper's hardware scenarios (``singular``
 drains one task before starting the next; ``pipelined`` round-robins so
 consecutive batches belong to different tasks — the case where MIME's
-threshold-only task switch pays off).  Two online-oriented policies join them:
-``fifo-deadline`` orders batches by deadline slack, falling back to arrival
-time (plain FIFO when no deadlines are set), and ``weighted-fair`` tracks a
+threshold-only task switch pays off).  Three online-oriented policies join
+them: ``fifo-deadline`` orders batches by deadline slack, falling back to
+arrival time (plain FIFO when no deadlines are set); ``weighted-fair`` tracks a
 per-task virtual finish time so each task receives service proportional to a
-configurable weight.
+configurable weight; and ``coalescing`` serves urgent deadlines first, then
+sticks with the worker's current coalescing group (the batcher's bucket of
+tasks whose rows may share one backbone pass), then takes the
+longest-waiting group.
 
 Request ordering *within* a task is always preserved by
 :func:`chunk_requests`; policies only reorder whole batches, and callers

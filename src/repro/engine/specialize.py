@@ -10,50 +10,26 @@ shapes (max-pool, workspaces, :class:`~repro.engine.plan.MaskSpec`) shrink to
 match, and the resulting :class:`SpecializedEnginePlan` executes only the
 live channels' work.
 
-Two compaction strategies are offered:
-
-* **compact_reduction=True (default, throughput mode)** — the shrinkage is
-  propagated into the next kernel's im2col row structure and the FC head:
-  consumer weight rows for dead input channels are removed, so both the
-  output and the *reduction* dimension of every GEMM shrink to the live set
-  and the MAC savings translate directly into CPU time (~2x at the paper's
-  sparsity levels).  Removing exact-zero terms from a BLAS reduction can
-  regroup the remaining summands across SIMD accumulators, so this mode is
-  numerically equivalent only to the last ULP, not bit-identical.
-* **compact_reduction=False (bit-exact verification mode)** — each compacted
-  producer is followed by a :class:`~repro.engine.plan.ChannelScatterKernel`
-  that writes the live channels back into their dense positions of a zero
-  workspace right before the next dense-ordered consumer.  The dense plan's
-  dead channels are exactly zero after masking, so every consumer sees
-  bit-identical inputs and the specialized logits equal the dense plan's
-  **bit for bit** on any input whose dead channels match the profile (always
-  true for structurally dead channels, whose thresholds exceed any
-  attainable pre-activation).  Bit exactness requires one concession to
-  BLAS: a GEMM's per-column reduction order is stable across output widths
-  only at the micro-kernel granularity, so compacted column counts are
-  padded up to ``granularity`` (default 16) lanes with zero weights, zero
-  bias and ``+inf`` thresholds — the pad lanes compute exact zeros and cost
-  their MACs, which the effective-MAC accounting honestly includes — and
-  compaction is restricted to GEMMs with at least ``exact_min_rows`` rows
-  per image, because small-row GEMMs can cross into BLAS direct-kernel
-  dispatch where the per-column order is width-dependent.  Because consumer
-  reductions stay at dense width (BLAS GEMMs are bound by the ``M×K``
-  panel), this mode roughly breaks even on CPU time; it exists to *prove* a
-  specialization semantically correct, not to serve traffic.
+The shrinkage is propagated into the next kernel's im2col row structure and
+the FC head: consumer weight rows for dead input channels are removed, so both
+the output and the *reduction* dimension of every GEMM shrink to the live set
+and the MAC savings translate directly into CPU time (~2x at the paper's
+sparsity levels).  Removing exact-zero terms from a BLAS reduction can regroup
+the remaining summands across SIMD accumulators, so a specialized plan is
+numerically equivalent to the dense plan to the last ULP, not bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.calibrate import CalibrationProfile, calibrate_plan
 from repro.utils.ratios import fraction_saved
 from repro.engine.plan import (
-    ChannelScatterKernel,
     CompileError,
     ConvGemmMaskKernel,
     EnginePlan,
@@ -83,9 +59,12 @@ class SpecializedEnginePlan(EnginePlan):
     training network.
     """
 
+    #: Every specialized plan shrinks its reduction dimensions (the one
+    #: compaction strategy); readers use this to pick the ULP tolerance.
+    compact_reduction: ClassVar[bool] = True
+
     source_task: str = ""
     dead_threshold: float = 0.0
-    compact_reduction: bool = False
     live_channels: Dict[str, np.ndarray] = field(default_factory=dict)
     dense_macs_per_image: int = 0
     specialized_macs_per_image: int = 0
@@ -114,15 +93,15 @@ def coalescing_signature(plan) -> Optional[str]:
     per-task thresholds/head that ride in the :class:`~repro.engine.plan.
     TaskPlan` — exactly when this digest matches: compaction produces weights
     as pure column slices of the shared dense arrays, so equal live sets (plus
-    equal compaction mode, kernel variants and quantization payload) imply
-    equal compacted tensors bit-for-bit.  Returns ``None`` for plans that are
+    equal kernel variants and quantization payload) imply equal compacted
+    tensors bit-for-bit.  Returns ``None`` for plans that are
     not :class:`SpecializedEnginePlan` instances (unknown provenance — never
     coalesce those with anything).
     """
     if type(plan) is not SpecializedEnginePlan:
         return None
     digest = hashlib.sha1()
-    digest.update(repr((plan.compact_reduction, plan.dead_threshold)).encode())
+    digest.update(repr(plan.dead_threshold).encode())
     for layer in sorted(plan.live_channels):
         live = np.ascontiguousarray(plan.live_channels[layer], dtype=np.bool_)
         digest.update(layer.encode())
@@ -172,45 +151,12 @@ def _conv_row_gather(live_in: np.ndarray, kernel_size: int) -> np.ndarray:
     return (taps[:, None] + live_idx[None, :]).ravel()
 
 
-def _compact_columns(
-    weight_t: np.ndarray,
-    bias: np.ndarray,
-    laid_out: np.ndarray,
-    live: np.ndarray,
-    granularity: int,
-):
-    """Slice a masked GEMM's output columns to the live set, lane-padded.
-
-    Live columns are packed first; the remainder up to the next
-    ``granularity`` multiple gets zero weights, zero bias and ``+inf``
-    thresholds, so pad lanes produce exact zeros after masking and, crucially,
-    the padded width keeps BLAS's per-column reduction order identical to the
-    dense GEMM's — that is what makes the scatter strategy bit-exact.
-    Returns ``None`` when padding swallows the saving (no compaction).
-    """
-    dense_n = weight_t.shape[1]
-    live_count = int(np.count_nonzero(live))
-    padded_n = min(dense_n, -(-live_count // granularity) * granularity)
-    if padded_n >= dense_n:
-        return None
-    weight_c = np.zeros((weight_t.shape[0], padded_n), dtype=weight_t.dtype)
-    weight_c[:, :live_count] = weight_t[:, live]
-    bias_c = np.zeros(padded_n, dtype=bias.dtype)
-    bias_c[:live_count] = bias[live]
-    thresholds_c = np.full(laid_out.shape[:-1] + (padded_n,), np.inf, dtype=laid_out.dtype)
-    thresholds_c[..., :live_count] = laid_out[..., live]
-    return weight_c, bias_c, thresholds_c, live_count, padded_n
-
-
 def specialize_plan(
     plan: EnginePlan,
     task: str,
     profile: CalibrationProfile,
     dead_threshold: float = 0.0,
-    compact_reduction: bool = True,
     min_live: int = 1,
-    granularity: Optional[int] = None,
-    exact_min_rows: int = 256,
     choose_kernels: bool = False,
     choose_batch: int = 8,
     choose_seed: int = 0,
@@ -221,19 +167,8 @@ def specialize_plan(
     Channels whose calibrated survival rate is at or below ``dead_threshold``
     are eliminated (``0.0`` removes only channels that *never* fired during
     calibration); at least ``min_live`` channels per masked layer are always
-    kept.  ``granularity`` is the column-lane padding of compacted GEMMs
-    (default 16 in the bit-exact scatter mode — the bit-exactness
-    requirement — and 1 in the default throughput mode).
-
-    ``exact_min_rows`` applies to the bit-exact mode only: a masked GEMM is
-    compacted only when it has at least that many rows per image
-    (``H_out*W_out`` for a convolution, 1 for an FC layer — FC layers are
-    therefore never compacted in exact mode).  BLAS keeps a GEMM's
-    per-column reduction order stable across output widths for panel-sized
-    row counts, but small-row GEMMs can cross into direct-kernel dispatch
-    where it is not; the floor keeps the bit-for-bit guarantee honest at the
-    cost of leaving the (MAC-light) deep layers dense.  See the module
-    docstring for the exactness contract of the two compaction strategies.
+    kept.  A layer with nothing to eliminate keeps the dense plan's arrays
+    by identity.  See the module docstring for the exactness contract.
 
     Kernel **variants** are reset by specialization: the rebuilt kernels run
     their default paths, because a variant choice (and any int8 payload) is
@@ -261,12 +196,6 @@ def specialize_plan(
         raise ValueError("min_live must be at least 1")
     if not 0.0 <= dead_threshold < 1.0:
         raise ValueError("dead_threshold must lie in [0, 1)")
-    if granularity is None:
-        granularity = 1 if compact_reduction else 16
-    if granularity < 1:
-        raise ValueError("granularity must be at least 1")
-    if compact_reduction and granularity != 1:
-        raise ValueError("compact_reduction propagates pure live sets; use granularity=1")
     source_task = plan.tasks[task]
 
     kernels: List[object] = []
@@ -276,26 +205,14 @@ def specialize_plan(
     dense_macs = 0
     spec_macs = 0
     #: live mask over the *dense* channel/feature axis of the current
-    #: activation stream (``None`` = dense stream) and the compacted stream's
-    #: actual width (live channels first, then zero pad lanes).
+    #: activation stream (``None`` = dense stream); the compacted stream
+    #: carries exactly the live channels, in dense order.
     live_in: Optional[np.ndarray] = None
-    stream_channels: Optional[int] = None
     spatial: Tuple[int, int] = (0, 0)  # H, W entering the flatten boundary
-
-    def scatter_to_dense() -> None:
-        """Exact mode: re-densify the stream before a dense-ordered consumer."""
-        nonlocal live_in, stream_channels
-        if live_in is None or compact_reduction:
-            return
-        kernels.append(
-            ChannelScatterKernel(len(kernels), np.flatnonzero(live_in), live_in.shape[0])
-        )
-        live_in = None
-        stream_channels = None
 
     def compact_masked_output(kernel, weight_t, bias):
         """Shared conv/linear output-side compaction; returns the new parts."""
-        nonlocal live_in, stream_channels
+        nonlocal live_in
         rates = np.asarray(profile.rates(task, kernel.mask.layer_name), dtype=float)
         if rates.shape[0] != weight_t.shape[1]:
             raise CompileError(
@@ -303,43 +220,31 @@ def specialize_plan(
                 f"channels but the kernel emits {weight_t.shape[1]}"
             )
         live_out = _ensure_min_live(rates > dead_threshold, rates, min_live)
-        laid_out = source_task.thresholds[kernel.mask.slot]
-        compacted = _compact_columns(weight_t, bias, laid_out, live_out, granularity)
-        if compacted is None:
-            # Compaction declined (all live, or lane padding swallows the
-            # saving): every channel physically stays, and live_channels must
-            # say so — dead_channel_counts() reports *eliminated* channels.
-            live_channels[kernel.mask.layer_name] = np.ones(live_out.shape[0], dtype=bool)
-            live_in = None
-            stream_channels = None
-            return weight_t, bias, laid_out
         live_channels[kernel.mask.layer_name] = live_out
-        weight_t, bias, laid_out, _live_count, padded_n = compacted
+        laid_out = source_task.thresholds[kernel.mask.slot]
+        if live_out.all():
+            # Nothing to eliminate: the dense arrays pass through by identity.
+            live_in = None
+            return weight_t, bias, laid_out
         live_in = live_out
-        stream_channels = padded_n
-        return weight_t, bias, laid_out
+        return (
+            np.ascontiguousarray(weight_t[:, live_out]),
+            bias[live_out],
+            np.ascontiguousarray(laid_out[..., live_out]),
+        )
 
     for kernel in plan.kernels:
         if isinstance(kernel, ConvGemmMaskKernel):
-            scatter_to_dense()
             weight_t, bias, in_shape = kernel.weight_t, kernel.bias, kernel.in_shape
-            if live_in is not None:  # aggressive mode: shrink the reduction
+            if live_in is not None:  # shrink the reduction to the live inputs
                 rows = _conv_row_gather(live_in, kernel.kernel_size)
                 weight_t = np.ascontiguousarray(weight_t[rows])
                 in_shape = (int(np.count_nonzero(live_in)), in_shape[1], in_shape[2])
                 live_in = None
-                stream_channels = None
             spec = kernel.mask
             out_shape = kernel.out_shape
             if kernel.mask is not None:
-                if compact_reduction or out_shape[1] * out_shape[2] >= exact_min_rows:
-                    weight_t, bias, laid_out = compact_masked_output(kernel, weight_t, bias)
-                else:
-                    # Exact mode, small-row GEMM: stay at dense width (see
-                    # the exact_min_rows note in the docstring).
-                    laid_out = source_task.thresholds[kernel.mask.slot]
-                    live_in = None
-                    stream_channels = None
+                weight_t, bias, laid_out = compact_masked_output(kernel, weight_t, bias)
                 out_shape = (weight_t.shape[1], out_shape[1], out_shape[2])
                 spec = MaskSpec(
                     kernel.mask.slot,
@@ -370,8 +275,8 @@ def specialize_plan(
             spatial = (out_shape[1], out_shape[2])
         elif isinstance(kernel, MaxPoolKernel):
             out_shape = kernel.out_shape
-            if stream_channels is not None:
-                out_shape = (stream_channels,) + tuple(out_shape[1:])
+            if live_in is not None:
+                out_shape = (int(np.count_nonzero(live_in)),) + tuple(out_shape[1:])
             kernels.append(
                 MaxPoolKernel(
                     len(kernels), kernel.kernel_size, kernel.stride, out_shape, name=kernel.name
@@ -379,33 +284,20 @@ def specialize_plan(
             )
             spatial = (out_shape[1], out_shape[2])
         elif isinstance(kernel, FlattenKernel):
-            if live_in is not None and compact_reduction:
+            if live_in is not None:
                 # NHWC flat index is position-major: every spatial position
                 # carries one block of channels, so the flat live mask is the
                 # channel mask tiled over positions.
                 live_in = np.tile(live_in, spatial[0] * spatial[1])
-                stream_channels = stream_channels * spatial[0] * spatial[1]
-            else:
-                scatter_to_dense()
             kernels.append(FlattenKernel(len(kernels)))
         elif isinstance(kernel, LinearMaskKernel):
-            scatter_to_dense()
             weight_t, bias = kernel.weight_t, kernel.bias
-            if live_in is not None:  # aggressive mode
+            if live_in is not None:
                 weight_t = np.ascontiguousarray(weight_t[np.flatnonzero(live_in)])
                 live_in = None
-                stream_channels = None
             spec = kernel.mask
             if kernel.mask is not None:
-                if compact_reduction:
-                    weight_t, bias, laid_out = compact_masked_output(kernel, weight_t, bias)
-                else:
-                    # Exact mode: FC GEMMs have one row per image — always
-                    # below exact_min_rows (see the docstring), and their
-                    # MAC share next to the convolutions is negligible.
-                    laid_out = source_task.thresholds[kernel.mask.slot]
-                    live_in = None
-                    stream_channels = None
+                weight_t, bias, laid_out = compact_masked_output(kernel, weight_t, bias)
                 spec = MaskSpec(
                     kernel.mask.slot,
                     kernel.mask.layer_name,
@@ -428,17 +320,12 @@ def specialize_plan(
             )
             dense_macs += kernel.dense_macs_per_image
             spec_macs += weight_t.shape[0] * weight_t.shape[1]
-        elif isinstance(kernel, ChannelScatterKernel):
-            raise CompileError("cannot specialize an already-specialized plan")
         else:
             raise CompileError(f"cannot specialize kernel type {type(kernel).__name__}")
 
     head_weight_t = source_task.head_weight_t
     if live_in is not None:
-        if compact_reduction:
-            head_weight_t = np.ascontiguousarray(head_weight_t[np.flatnonzero(live_in)])
-        else:
-            scatter_to_dense()
+        head_weight_t = np.ascontiguousarray(head_weight_t[np.flatnonzero(live_in)])
     task_plan = TaskPlan(
         name=source_task.name,
         num_classes=source_task.num_classes,
@@ -459,7 +346,6 @@ def specialize_plan(
         head_permutation=plan.head_permutation,
         source_task=task,
         dead_threshold=dead_threshold,
-        compact_reduction=compact_reduction,
         live_channels=live_channels,
         dense_macs_per_image=dense_macs,
         specialized_macs_per_image=spec_macs,
@@ -478,10 +364,7 @@ def specialize_tasks(
     profile: Optional[CalibrationProfile] = None,
     tasks: Optional[Sequence[str]] = None,
     dead_threshold: float = 0.0,
-    compact_reduction: bool = True,
     min_live: int = 1,
-    granularity: Optional[int] = None,
-    exact_min_rows: int = 256,
     calibration_batch: int = 32,
     calibration_seed: int = 0,
     choose_kernels: bool = False,
@@ -510,10 +393,7 @@ def specialize_tasks(
             name,
             profile,
             dead_threshold=dead_threshold,
-            compact_reduction=compact_reduction,
             min_live=min_live,
-            granularity=granularity,
-            exact_min_rows=exact_min_rows,
             choose_kernels=choose_kernels,
             choose_batch=choose_batch,
             choose_seed=choose_seed,

@@ -52,9 +52,6 @@ def add_workload_arguments(sub: argparse.ArgumentParser, default_requests: int) 
     sub.add_argument("--dead-threshold", type=unit_float, default=0.0,
                      help="calibrated survival rate at or below which a channel "
                           "counts as dead (used with --specialize)")
-    sub.add_argument("--exact-specialize", action="store_true",
-                     help="bit-exact specialization (scatter mode): logits match the "
-                          "dense plan bit for bit, at the cost of the throughput win")
     sub.add_argument("--kernels",
                      choices=["default", "auto", "im2col", "blocked", "packed",
                               "direct"],
@@ -188,7 +185,6 @@ def maybe_specialize(args: argparse.Namespace, plan, profile=None) -> Dict[str, 
         plan,
         profile=profile,
         dead_threshold=args.dead_threshold,
-        compact_reduction=not getattr(args, "exact_specialize", False),
         calibration_seed=args.seed,
     )
     configure_kernel_variants(args, plan, profile=profile, label="dense plan")

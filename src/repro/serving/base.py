@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -243,7 +244,6 @@ class PlanSet:
             for kernel in plan.kernels:
                 visit(getattr(kernel, "weight_t", None))
                 visit(getattr(kernel, "bias", None))
-                visit(getattr(kernel, "live_index", None))
                 quant = getattr(kernel, "quant", None)
                 if quant is not None:
                     visit(quant.weight_q)
@@ -311,15 +311,20 @@ class BaseRuntime:
         # reports and window boundaries live in one clock domain.
         self.metrics = ServingMetrics(clock=clock)
         self._clock = clock
+        # The batcher and the stream call back into this runtime through a
+        # weak proxy: bound methods would close a reference cycle, and a
+        # dropped runtime would keep its plans and worker pools resident
+        # until the cyclic collector happened to run.
+        runtime = weakref.proxy(self)
         self._batcher = DynamicBatcher(
             micro_batch=micro_batch,
             max_wait=max_wait,
             policy=self.policy,
             max_pending=max_pending,
             clock=clock,
-            # Late-bound through self._plans so hot-swaps retarget the
-            # group map without touching the batcher.
-            coalesce=(lambda task: self._plans.coalescing_group(task))
+            # Late-bound through the runtime's current plan set so
+            # hot-swaps retarget the group map without touching the batcher.
+            coalesce=(lambda task: runtime._plans.coalescing_group(task))
             if self.coalesce
             else None,
         )
@@ -331,9 +336,9 @@ class BaseRuntime:
             self.metrics,
             clock,
             interval=window_interval,
-            queue_depths=self.queue_depths,
-            shard_depths=self.shard_depths,
-            report=self.report,
+            queue_depths=lambda: runtime.queue_depths(),
+            shard_depths=lambda: runtime.shard_depths(),
+            report=lambda: runtime.report(),
         )
         self._submit_lock = threading.Lock()
         self._submitted = 0

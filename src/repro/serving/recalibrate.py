@@ -337,19 +337,12 @@ class RecalibrationLoop:
         """
         def build(current: PlanSet) -> PlanSet:
             specialized = dict(current.specialized)
-            kwargs = dict(self.specialize_kwargs)
-            if "compact_reduction" not in kwargs:
-                # Preserve the deployed artifact's compaction mode (a
-                # bit-exact deployment must stay bit-exact across swaps).
-                deployed = next(iter(specialized.values()), None)
-                if deployed is not None and hasattr(deployed, "compact_reduction"):
-                    kwargs["compact_reduction"] = deployed.compact_reduction
             fresh = specialize_tasks(
                 current.plan,
                 profile=live,
                 tasks=tasks,
                 dead_threshold=self.dead_threshold,
-                **kwargs,
+                **self.specialize_kwargs,
             )
             # Re-specialization resets kernel variants (new geometry).  A
             # deployed plan that was chooser-tuned gets the chooser re-run on

@@ -2,8 +2,7 @@
 
 The deployment contract under test: an artifact saved from live plans and
 loaded back — in this process or a freshly spawned one — compiles to plans
-producing **bit-identical** logits (dense, compact-specialized, and
-bit-exact-specialized alike), the manifest's content hashes catch any byte
+producing **bit-identical** logits (dense and specialized alike), the manifest's content hashes catch any byte
 drift, and the store's versioning/latest-pointer semantics are atomic enough
 to build a zero-downtime deployment flow on.
 """
@@ -27,6 +26,8 @@ from repro.artifacts import (
 )
 from repro.engine import (
     CalibrationProfile,
+    CompileError,
+    MultiTaskEngine,
     PlanSpec,
     calibrate_plan,
     compile_network,
@@ -71,9 +72,8 @@ def workload():
         )
     plan = compile_network(network, dtype=np.float32)
     profile = structural_profile(plan, network)
-    compact = specialize_tasks(plan, profile=profile, compact_reduction=True)
-    exact = specialize_tasks(plan, profile=profile, compact_reduction=False)
-    return network, plan, profile, compact, exact
+    compact = specialize_tasks(plan, profile=profile)
+    return network, plan, profile, compact
 
 
 def make_batch(plan, seed: int, n: int = 6) -> np.ndarray:
@@ -83,7 +83,7 @@ def make_batch(plan, seed: int, n: int = 6) -> np.ndarray:
 # ------------------------------------------------------------ ModelArtifact --
 class TestModelArtifactRoundTrip:
     def test_dense_roundtrip_bit_identical(self, workload, tmp_path):
-        network, plan, profile, compact, _ = workload
+        network, plan, profile, compact = workload
         artifact = ModelArtifact.from_plans(
             "demo", plan, compact, calibration=profile, network=network
         )
@@ -99,7 +99,7 @@ class TestModelArtifactRoundTrip:
             )
 
     def test_compact_specialized_roundtrip_bit_identical(self, workload, tmp_path):
-        network, plan, profile, compact, _ = workload
+        network, plan, profile, compact = workload
         artifact = ModelArtifact.from_plans("demo", plan, compact, calibration=profile)
         artifact.save(tmp_path / "bundle")
         _, rebuilt_specialized = ModelArtifact.load(tmp_path / "bundle").build_plans()
@@ -110,24 +110,8 @@ class TestModelArtifactRoundTrip:
                 compact[task].run(batch, task), rebuilt_specialized[task].run(batch, task)
             )
 
-    def test_exact_specialized_roundtrip_matches_dense_bit_for_bit(self, workload, tmp_path):
-        network, plan, profile, _, exact = workload
-        artifact = ModelArtifact.from_plans("demo", plan, exact, calibration=profile)
-        artifact.save(tmp_path / "bundle")
-        rebuilt_plan, rebuilt_specialized = ModelArtifact.load(tmp_path / "bundle").build_plans()
-        batch = make_batch(plan, seed=13)
-        for task in TASKS:
-            # Scatter-mode guarantee survives the disk roundtrip: specialized
-            # logits equal the dense plan's bit for bit (structural dead set).
-            np.testing.assert_array_equal(
-                rebuilt_specialized[task].run(batch, task), plan.run(batch, task)
-            )
-            np.testing.assert_array_equal(
-                rebuilt_plan.run(batch, task), plan.run(batch, task)
-            )
-
     def test_calibration_and_weights_survive_the_roundtrip(self, workload, tmp_path):
-        network, plan, profile, compact, _ = workload
+        network, plan, profile, compact = workload
         artifact = ModelArtifact.from_plans(
             "demo", plan, compact, calibration=profile, network=network,
             metadata={"note": "pr5"},
@@ -173,7 +157,7 @@ class TestModelArtifactRoundTrip:
 
 class TestModelArtifactIntegrity:
     def test_verify_detects_tampered_payload(self, workload, tmp_path):
-        _, plan, profile, compact, _ = workload
+        _, plan, profile, compact = workload
         ModelArtifact.from_plans("demo", plan, compact, calibration=profile).save(
             tmp_path / "bundle"
         )
@@ -187,14 +171,14 @@ class TestModelArtifactIntegrity:
         ModelArtifact.load(tmp_path / "bundle", verify=False)
 
     def test_verify_detects_missing_payload(self, workload, tmp_path):
-        _, plan, profile, _, _ = workload
+        _, plan, profile, _ = workload
         ModelArtifact.from_plans("demo", plan, calibration=profile).save(tmp_path / "bundle")
         (tmp_path / "bundle" / "calibration.json").unlink()
         with pytest.raises(ArtifactIntegrityError, match="missing"):
             ModelArtifact.verify(tmp_path / "bundle")
 
     def test_unsupported_schema_version_rejected(self, workload, tmp_path):
-        _, plan, _, _, _ = workload
+        _, plan, _, _ = workload
         ModelArtifact.from_plans("demo", plan).save(tmp_path / "bundle")
         manifest_path = tmp_path / "bundle" / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
@@ -235,7 +219,7 @@ class TestRetiredVariantNames:
         return spec
 
     def test_legacy_spec_and_artifact_load_and_run_bit_identically(self, workload, tmp_path):
-        _, plan, _, _, _ = workload
+        _, plan, _, _ = workload
         quantized = PlanSpec.from_plan(plan).build()
         profile = calibrate_plan(quantized, batch_size=4, seed=5)
         assert quantize_plan_kernels(quantized, profile, set_variant=True)
@@ -267,6 +251,47 @@ class TestRetiredVariantNames:
                 )
 
 
+class TestRetiredScatterSpecialization:
+    """Artifacts written while the bit-exact "scatter" specialization strategy
+    existed still load.  By its own contract such a plan served the dense
+    plan's logits bit for bit, so its task now serves from the dense plan."""
+
+    @staticmethod
+    def legacy_spec(spec_plan):
+        spec = copy.deepcopy(PlanSpec.from_plan(spec_plan))
+        spec.specialization["compact_reduction"] = False
+        layer, live = next(iter(spec.specialization["live_channels"].items()))
+        # The retired kernel that re-densified a compacted stream.
+        spec.kernels.insert(1, {
+            "type": "scatter",
+            "live_index": np.flatnonzero(live),
+            "dense_channels": len(live),
+        })
+        return spec
+
+    def test_legacy_exact_spec_serves_the_dense_plan(self, workload, tmp_path):
+        _, plan, profile, compact = workload
+        task = TASKS[0]
+        legacy = self.legacy_spec(compact[task])
+        with pytest.raises(CompileError, match="re-specialize"):
+            legacy.build()
+
+        artifact = ModelArtifact.from_plans("legacy", plan, compact, calibration=profile)
+        artifact.specialized_specs[task] = legacy
+        artifact.save(tmp_path / "bundle")
+        rebuilt_plan, rebuilt_specialized = ModelArtifact.load(tmp_path / "bundle").build_plans()
+        assert sorted(rebuilt_specialized) == sorted(TASKS[1:])
+
+        batch = make_batch(plan, seed=13)
+        engine = MultiTaskEngine(
+            rebuilt_plan, micro_batch=len(batch), specialized=rebuilt_specialized
+        )
+        engine.submit(task, batch)
+        served, stats = engine.run_pending()
+        assert stats.specialized_batches == 0
+        np.testing.assert_array_equal(np.stack(served), plan.run(batch, task))
+
+
 # ----------------------------------------------------------- spawned loads --
 def _load_and_run_in_child(directory: str, seed: int, task: str, out_path: str) -> None:
     """Spawned-process child: load the artifact, run a batch, save the logits."""
@@ -285,7 +310,7 @@ def _load_and_run_in_child(directory: str, seed: int, task: str, out_path: str) 
 def test_artifact_loads_bit_identically_in_a_spawned_process(workload, tmp_path):
     """The sharded-worker path: a fresh interpreter loads the bundle from disk
     and produces the same bits as the parent's live plans."""
-    _, plan, profile, compact, _ = workload
+    _, plan, profile, compact = workload
     ModelArtifact.from_plans("demo", plan, compact, calibration=profile).save(
         tmp_path / "bundle"
     )
@@ -309,7 +334,7 @@ def test_artifact_loads_bit_identically_in_a_spawned_process(workload, tmp_path)
 # ------------------------------------------------------------- ModelStore --
 class TestModelStore:
     def test_publish_autonumbers_and_moves_latest(self, workload, tmp_path):
-        _, plan, profile, compact, _ = workload
+        _, plan, profile, compact = workload
         store = ModelStore(tmp_path / "store")
         artifact = ModelArtifact.from_plans("demo", plan, compact, calibration=profile)
         assert store.versions() == []
@@ -327,7 +352,7 @@ class TestModelStore:
         )
 
     def test_named_versions_and_set_latest(self, workload, tmp_path):
-        _, plan, _, _, _ = workload
+        _, plan, _, _ = workload
         store = ModelStore(tmp_path / "store")
         artifact = ModelArtifact.from_plans("demo", plan)
         store.publish(artifact, version="canary", set_latest=False)
@@ -342,7 +367,7 @@ class TestModelStore:
             store.set_latest("missing")
 
     def test_invalid_version_names_rejected(self, workload, tmp_path):
-        _, plan, _, _, _ = workload
+        _, plan, _, _ = workload
         store = ModelStore(tmp_path / "store")
         artifact = ModelArtifact.from_plans("demo", plan)
         for bad in ("", "a/b", ".hidden"):
@@ -354,7 +379,7 @@ class TestModelStore:
             ModelStore(tmp_path / "store").load()
 
     def test_store_verify_catches_post_publish_corruption(self, workload, tmp_path):
-        _, plan, _, _, _ = workload
+        _, plan, _, _ = workload
         store = ModelStore(tmp_path / "store")
         version = store.publish(ModelArtifact.from_plans("demo", plan))
         target = store.resolve(version) / "plan.pkl"

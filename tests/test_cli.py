@@ -118,11 +118,13 @@ class TestSpecializationFlags:
     def test_parser_accepts_specialization_arguments(self):
         args = build_parser().parse_args([
             "serve-bench", "--dead-fraction", "0.5", "--specialize",
-            "--dead-threshold", "0.1", "--exact-specialize",
+            "--dead-threshold", "0.1",
         ])
         assert args.dead_fraction == 0.5
-        assert args.specialize and args.exact_specialize
+        assert args.specialize
         assert args.dead_threshold == 0.1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", "--specialize", "--exact-specialize"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--specialize", "--dynamic"])
         with pytest.raises(SystemExit):
@@ -176,11 +178,11 @@ class TestLifecycleCommands:
         assert main([
             "serve", "--artifact", str(store_dir), "--requests", "12",
             "--rate", "2000", "--workers", "2", "--micro-batch", "4",
-            "--recalibrate", "--recalibrate-min-images", "512", "--exact-specialize",
+            "--recalibrate", "--recalibrate-min-images", "512", "--specialize",
         ]) == 0
         output = capsys.readouterr().out
         assert "artifact 'mime'" in output
-        assert "--specialize/--exact-specialize/--kernels/--int8) are ignored" in output
+        assert "--specialize/--kernels/--int8) are ignored" in output
         assert "recalibration events" in output
         assert "insufficient traffic" in output  # min-images far above the run
 

@@ -25,7 +25,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine import compile_network, specialize_tasks
+from repro.engine import CalibrationProfile, compile_network, specialize_tasks
 from repro.engine.planspec import PlanSetSpec
 from repro.engine.scheduling import CoalescingPolicy, MicroBatch, get_policy
 from repro.mime import MimeNetwork, add_structured_sparsity_task
@@ -114,9 +114,10 @@ def test_dense_tasks_share_one_group_split_by_head_width():
 
 
 def test_specialized_plans_group_by_geometry_digest(plan6):
-    # Pass-through specialization keeps every task on identical compacted
-    # geometry: one spec/ group, led by the first-registered member.
-    specialized = specialize_tasks(plan6, compact_reduction=False)
+    # Pass-through specialization (an all-live profile eliminates nothing)
+    # keeps every task on identical geometry: one spec/ group, led by the
+    # first-registered member.
+    specialized = specialize_tasks(plan6, profile=CalibrationProfile.all_live(plan6))
     plans = PlanSet(plan6, specialized)
     names = plan6.task_names()
     groups = {plans.coalescing_group(name) for name in names}
@@ -151,7 +152,7 @@ def test_specialized_plans_group_by_geometry_digest(plan6):
 
 def test_compacted_geometry_mismatch_keeps_tasks_apart():
     plan = build_plan(4, seed=23, jitter=0.6)
-    specialized = specialize_tasks(plan, compact_reduction=True)
+    specialized = specialize_tasks(plan)
     plans = PlanSet(plan, specialized)
     names = plan.task_names()
     groups = [plans.coalescing_group(name) for name in names]
@@ -361,7 +362,7 @@ def test_worker_pools_and_reachable_kernels_stay_flat_in_task_count():
 
 
 def test_reachable_pruning_drops_non_leader_specialized_buffers(plan6):
-    specialized = specialize_tasks(plan6, compact_reduction=False)
+    specialized = specialize_tasks(plan6, profile=CalibrationProfile.all_live(plan6))
     plans = PlanSet(plan6, specialized)
     full = plans.kernel_uids(reachable_only=False)
     live = plans.kernel_uids(reachable_only=True)
@@ -388,7 +389,7 @@ def test_shared_plan_bytes_stay_flat_at_100_tasks():
 
 
 def test_specialized_shared_bytes_stay_bounded(plan6):
-    specialized = specialize_tasks(plan6, compact_reduction=False)
+    specialized = specialize_tasks(plan6, profile=CalibrationProfile.all_live(plan6))
     single = PlanSet(plan6).plan_bytes(shared_only=True)
     with_spec = PlanSet(plan6, specialized).plan_bytes(shared_only=True)
     # Pass-through specialization aliases the dense arrays, so resident
@@ -398,7 +399,7 @@ def test_specialized_shared_bytes_stay_bounded(plan6):
 
 # ------------------------------------------------------------- PlanSpec v4 ----
 def test_planspec_v4_dedups_spawn_payload_and_shares_backbone(plan6):
-    specialized = specialize_tasks(plan6, compact_reduction=False)
+    specialized = specialize_tasks(plan6, profile=CalibrationProfile.all_live(plan6))
     dedup = PlanSetSpec.capture(plan6, specialized, dedup=True)
     plain = PlanSetSpec.capture(plan6, specialized, dedup=False)
     dedup_bytes = len(pickle.dumps(dedup, protocol=pickle.HIGHEST_PROTOCOL))

@@ -382,8 +382,7 @@ def test_specialize_with_choose_kernels_reuses_timings_on_redeploy():
     plan = small_plan(seed=113)
     profile = calibrate_plan(plan, batch_size=4, seed=113)
     cache = KernelTimingCache()
-    kwargs = dict(profile=profile, compact_reduction=True,
-                  choose_kernels=True, choose_batch=2, timing_cache=cache)
+    kwargs = dict(profile=profile, choose_kernels=True, choose_batch=2, timing_cache=cache)
     specialized = specialize_tasks(plan, **kwargs)
     assert set(specialized) == set(plan.task_names())
     for name, spec in specialized.items():

@@ -74,7 +74,7 @@ def deployment(tmp_path_factory):
     network = build_network(seed=42)
     plan = compile_network(network, dtype=np.float32)
     profile = structural_profile(plan, network)
-    specialized = specialize_tasks(plan, profile=profile, compact_reduction=True)
+    specialized = specialize_tasks(plan, profile=profile)
     artifact = ModelArtifact.from_plans(
         "respecialized", plan, specialized, calibration=profile
     )
@@ -411,7 +411,7 @@ class TestRecalibrationLoop:
         so profiles stay comparable across swaps."""
         network, plan, _, _ = deployment
         profile = structural_profile(plan, network)
-        specialized = specialize_tasks(plan, profile=profile, compact_reduction=True)
+        specialized = specialize_tasks(plan, profile=profile)
         runtime = self.make_runtime(plan, specialized=specialized)
         rng = np.random.default_rng(70)
         with runtime:
@@ -541,10 +541,8 @@ class TestRecalibrationLoop:
         narrow_profile = CalibrationProfile(
             survival=narrow, num_images=dict(profile.num_images)
         )
-        wide = specialize_tasks(plan, profile=profile, compact_reduction=True)
-        narrow_specialized = specialize_tasks(
-            plan, profile=narrow_profile, compact_reduction=True
-        )
+        wide = specialize_tasks(plan, profile=profile)
+        narrow_specialized = specialize_tasks(plan, profile=narrow_profile)
         runtime = self.make_runtime(plan, specialized=wide)
         rng = np.random.default_rng(81)
         with runtime:
@@ -574,7 +572,7 @@ class TestRecalibrationLoop:
         plan = compile_network(network, dtype=np.float32)
         profile = structural_profile(plan, network)
         specialized = specialize_tasks(
-            plan, profile=profile, compact_reduction=True, choose_kernels=True,
+            plan, profile=profile, choose_kernels=True,
         )
         for spec in specialized.values():
             assert spec.kernel_choices, "deployment must be chooser-tuned"

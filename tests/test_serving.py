@@ -9,8 +9,10 @@ workspace pools differ.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,23 @@ def test_submit_after_stop_is_refused(served):
     # Shutdown refusals are not capacity signals: the rejected counter only
     # tracks bounded-queue overload.
     assert runtime.report().rejected == 0
+
+
+def test_stopped_runtime_is_freed_without_the_cycle_collector(served):
+    # A dropped runtime must release its plans and worker pools at once, not
+    # whenever the cyclic collector next runs.
+    _, _, plan = served
+    gc.disable()
+    try:
+        runtime = ServingRuntime(plan, workers=1, coalesce=True)
+        runtime.start()
+        runtime.submit("alpha", np.zeros((3, 16, 16))).result(timeout=10.0)
+        runtime.stop(drain=True)
+        dropped = weakref.ref(runtime)
+        del runtime
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_reset_stats_starts_a_fresh_window(served):
